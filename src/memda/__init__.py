@@ -3,7 +3,7 @@ memory-augmented sample-consistency training."""
 
 __version__ = "0.1.0"
 
-from .bank import MemoryBank, bank_ready, momentum_update, new_bank
+from .bank import MemoryBank, momentum_update
 from .datasets import (
     DomainDataset,
     ShiftSpec,

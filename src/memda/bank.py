@@ -4,12 +4,26 @@ The bank is the large proxy for the source mini-batch in the consistency
 loss: each training iteration appends the fresh source batch and, once full,
 drops exactly the oldest entries. Stored features are detached copies; no
 gradient ever flows back into them.
+
+A bank stores one representation per row, chosen by the similarity kind it
+serves and written once, at enqueue, for the new rows only:
+
+    cosine               unit rows r/|r| and norms |r|; a (near-)zero row
+                         is rejected at enqueue with its row index
+    euclidean, gaussian  raw rows r and squared norms |r|^2
+    no kind (default)    raw rows r and squared norms |r|^2
+
+``references`` is the ``similarity.ReferenceSet`` over the stored rows,
+oldest first. It owns the score and work buffers the consistency loss
+reuses on every call, so what that loss returns aliases them until its next
+call on this bank.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import similarity as simmod
 from .errors import ConfigurationError
 from .nn import MLP
 
@@ -17,7 +31,8 @@ from .nn import MLP
 class MemoryBank:
     """FIFO ring of (feature, label) pairs, oldest first."""
 
-    def __init__(self, capacity: int, feature_dim: int | None = None):
+    def __init__(self, capacity: int, feature_dim: int | None = None,
+                 kind: simmod.SimilarityKind | None = None):
         if capacity < 1:
             raise ConfigurationError("bank capacity must be >= 1")
         self.capacity = int(capacity)
@@ -25,10 +40,13 @@ class MemoryBank:
         # storage is mirrored (2x capacity, every row written twice) so the
         # oldest-to-newest window is always one contiguous zero-copy slice
         self._features = None  # allocated lazily on first enqueue
+        self._norms = None
         self._labels = None
         self._head = 0  # ring position of the oldest entry once full
         self._size = 0
-        self.inserted = 0  # total entries ever enqueued
+        self.references = simmod.ReferenceSet(
+            kind is not None and kind.name == simmod.COSINE,
+            np.zeros((0, feature_dim or 0)), np.zeros(0))
 
     def __len__(self) -> int:
         return self._size
@@ -54,6 +72,7 @@ class MemoryBank:
             dim = self.feature_dim if self.feature_dim is not None else feats.shape[1]
             self.feature_dim = dim
             self._features = np.zeros((2 * self.capacity, dim))
+            self._norms = np.zeros(2 * self.capacity)
             self._labels = np.zeros(2 * self.capacity, dtype=np.int64)
         if feats.shape[1] != self.feature_dim:
             raise ConfigurationError(
@@ -64,39 +83,36 @@ class MemoryBank:
         if feats.shape[0] > self.capacity:
             feats = feats[-self.capacity:]
             labs = labs[-self.capacity:]
+        rows, norms = simmod.prepare_rows(feats, self.references.unit,
+                                          "enqueued")
         n = feats.shape[0]
         write = (self._head + self._size) % self.capacity
         tail = min(n, self.capacity - write)
         for offset in (0, self.capacity):  # mirror every write
             lo = write + offset
-            self._features[lo:lo + tail] = feats[:tail]
+            self._features[lo:lo + tail] = rows[:tail]
+            self._norms[lo:lo + tail] = norms[:tail]
             self._labels[lo:lo + tail] = labs[:tail]
             if tail < n:
-                self._features[offset:offset + n - tail] = feats[tail:]
+                self._features[offset:offset + n - tail] = rows[tail:]
+                self._norms[offset:offset + n - tail] = norms[tail:]
                 self._labels[offset:offset + n - tail] = labs[tail:]
         overflow = max(0, self._size + n - self.capacity)
         self._head = (self._head + overflow) % self.capacity
         self._size = min(self._size + n, self.capacity)
-        self.inserted += n
+        window = slice(self._head, self._head + self._size)
+        self.references.rows = self._features[window]
+        self.references.norms = self._norms[window]
 
     def features(self) -> np.ndarray:
-        """Stored features, oldest to newest (zero-copy view)."""
-        if self._size == 0:
-            return np.zeros((0, self.feature_dim or 0))
-        return self._features[self._head:self._head + self._size]
+        """Stored rows, oldest to newest (zero-copy view): unit rows for a
+        cosine bank, raw rows otherwise."""
+        return self.references.rows
 
     def labels(self) -> np.ndarray:
         if self._size == 0:
             return np.zeros(0, dtype=np.int64)
         return self._labels[self._head:self._head + self._size]
-
-
-def new_bank(capacity: int, feature_dim: int | None = None) -> MemoryBank:
-    return MemoryBank(capacity, feature_dim)
-
-
-def bank_ready(bank: MemoryBank, min_entries: int) -> bool:
-    return bank.ready(min_entries)
 
 
 def momentum_update(slow: MLP, fast: MLP, mu: float) -> None:

@@ -4,6 +4,11 @@ Configuration is a flat ``key = value`` text file ('#' comments); every key
 can be overridden by a same-named flag (--batch-size overrides batch_size).
 A run writes its manifest before training starts, then a per-iteration
 metrics CSV, a summary report and the trained model.
+
+Exit codes: 0 success; 2 bad configuration, data file or missing file;
+3 numerical failure (non-finite loss, logits or gradient); 4 degenerate
+input (e.g. a zero-norm feature for the cosine kernel); 5 gating violation.
+Each comes from the ``exit_code`` of the package error (``memda.errors``).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .datasets import (
     load_feature_table,
     save_feature_table,
 )
-from .errors import ConfigurationError, DataFormatError, NumericalError
+from .errors import ConfigurationError, MemdaError
 from .nn import build_model
 from .trainer import RunResult, TrainConfig, run_training
 
@@ -395,12 +400,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, DataFormatError, FileNotFoundError) as exc:
+    except MemdaError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        return ConfigurationError.exit_code
 
 
 if __name__ == "__main__":

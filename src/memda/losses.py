@@ -11,7 +11,15 @@ returns both the scalar value and the gradient w.r.t. its direct inputs;
 the trainer chains those through the networks.
 
 Reference features (memory bank or detached source batch) are constants in
-l_sc: gradients flow only to the target anchors.
+l_sc: gradients flow only to the target anchors. The consistency loss runs
+on a ``similarity.ReferenceSet``: the bank's own set, whose rows were
+prepared once at enqueue (unit rows for cosine, raw rows and squared norms
+otherwise), or a transient set wrapping the source batch. Its score matrix
+and its work matrix are reused by every call on the set: a
+``ConsistencyResult``'s ``sim`` and the ``dsim`` of
+``consistency_from_similarity`` alias those buffers until the next call on
+the same set, while ``value``, ``grad_targets`` and ``per_anchor`` are the
+caller's own.
 """
 
 from __future__ import annotations
@@ -103,20 +111,21 @@ class ConsistencyResult:
     grad_targets: np.ndarray        # d l_sc / d target features
     assignment: simmod.PseudoLabelAssignment | None
     positive_mask: np.ndarray       # (n_targets, n_refs) boolean
-    sim: np.ndarray                 # the similarity matrix used
+    sim: np.ndarray                 # the scores used; aliases the set's buffer
     per_anchor: np.ndarray          # (n_targets,) individual -log terms
     skipped: int                    # anchors with an empty positive set
     all_skipped: bool = False
 
 
-def consistency_from_similarity(sim, positive_mask, tau: float):
+def consistency_from_similarity(sim, positive_mask, tau: float, work=None):
     """Core of the consistency loss, in log-sum-exp form.
 
     Per anchor j:  loss_j = LSE(sim_j / tau) - LSE(sim_j[positives] / tau),
     i.e. -log of the total softmax mass on the positive set. Anchors with no
     positives contribute 0 and are tallied; anchors whose positive set covers
     every reference contribute exactly 0.0. Returns
-    (value, dsim, per_anchor, skipped).
+    (value, dsim, per_anchor, skipped). The pass runs in ``work``, an array
+    shaped like ``sim`` (fresh when None), which comes back as ``dsim``.
     """
     if not tau > 0:
         raise ConfigurationError("temperature must be > 0")
@@ -128,7 +137,7 @@ def consistency_from_similarity(sim, positive_mask, tau: float):
     # positive-side sums run on gathered entries; the dense buffer is reused
     # in place to keep full-matrix passes to a minimum
     rows, cols = np.nonzero(pos)
-    work = sim / tau
+    work = np.divide(sim, tau, out=work)
     s_vals = work[rows, cols]
     counts = np.bincount(rows, minlength=n)
     has_pos = counts > 0
@@ -159,16 +168,19 @@ def consistency_from_similarity(sim, positive_mask, tau: float):
     return float(per_anchor.sum() / n), work, per_anchor, skipped
 
 
-def _consistency(targets, ref_feats, ref_labels, tau, k, kind, num_classes,
+def _consistency(targets, references, ref_labels, tau, k, kind, num_classes,
                  pseudo_labels=None) -> ConsistencyResult:
-    sim = simmod.pairwise_similarity(targets, ref_feats, kind)
+    refs = simmod.reference_set(references, kind)
+    sim = simmod.pairwise_similarity(targets, refs, kind)
     assignment = None
     if pseudo_labels is None:
         assignment = simmod.assign_pseudo_labels(sim, ref_labels, k, num_classes)
         pseudo_labels = assignment.labels
     pos = np.asarray(ref_labels)[None, :] == np.asarray(pseudo_labels)[:, None]
-    value, dsim, per_anchor, skipped = consistency_from_similarity(sim, pos, tau)
-    grad = simmod.pairwise_similarity_vjp(targets, ref_feats, kind, dsim, sim=sim)
+    _, work = refs.buffers(sim.shape[0])
+    value, dsim, per_anchor, skipped = consistency_from_similarity(
+        sim, pos, tau, work=work)
+    grad = simmod.pairwise_similarity_vjp(targets, refs, kind, dsim, sim=sim)
     return ConsistencyResult(
         value, grad, assignment, pos, sim, per_anchor, skipped,
         all_skipped=(skipped == sim.shape[0]),
@@ -183,7 +195,7 @@ def sample_consistency_batch(targets, source_feats, source_labels, tau: float,
 
     Pseudo-labels default to a kNN vote over the source batch itself; pass
     ``pseudo_labels`` explicitly for the classifier-based ablation. Source
-    features are constants.
+    features are constants, wrapped in a transient reference set.
     """
     return _consistency(targets, source_feats, source_labels, tau, k, kind,
                         num_classes, pseudo_labels)
@@ -195,11 +207,12 @@ def sample_consistency_memory(targets, bank, tau: float,
                               pseudo_labels=None) -> ConsistencyResult:
     """Memory form: the bank replaces the source batch as the reference set.
 
-    With kNN pseudo-labels the positive set is nonempty by construction (the
-    winning class has at least one neighbour in the bank)."""
+    The bank's own reference set is used as is when its layout serves
+    ``kind``. With kNN pseudo-labels the positive set is nonempty by
+    construction (the winning class has at least one neighbour in the bank)."""
     if len(bank) < k:
         raise GatingError(f"bank holds {len(bank)} entries, k={k}")
-    return _consistency(targets, bank.features(), bank.labels(), tau, k, kind,
+    return _consistency(targets, bank.references, bank.labels(), tau, k, kind,
                         num_classes, pseudo_labels)
 
 

@@ -75,7 +75,7 @@ def mean_similarity_both(sim: np.ndarray, positive_mask: np.ndarray):
 def mean_similarity_score(targets, bank, assignment, kind: simmod.SimilarityKind,
                           mode: str = AVERAGED) -> float:
     """Similarity between each anchor and its positive bank entries."""
-    sim = simmod.pairwise_similarity(targets, bank.features(), kind)
+    sim = simmod.pairwise_similarity(targets, bank.references, kind)
     pos = bank.labels()[None, :] == np.asarray(assignment.labels)[:, None]
     return mean_similarity_from_matrix(sim, pos, mode)
 

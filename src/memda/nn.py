@@ -37,6 +37,7 @@ class Dense:
         self.b = np.zeros(n_out)
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
+        self._gw_step = np.empty_like(self.w)  # one backward's dy.T @ x
 
     @property
     def n_in(self) -> int:
@@ -51,7 +52,7 @@ class Dense:
 
     def backward(self, cache, dy):
         x = cache
-        self.gw += dy.T @ x
+        self.gw += np.matmul(dy.T, x, out=self._gw_step)
         self.gb += dy.sum(axis=0)
         return dy @ self.w
 
@@ -295,11 +296,12 @@ def gradient_reversal_forward(x):
     return x
 
 
-def gradient_reversal(g_in: np.ndarray, coeff: float) -> np.ndarray:
-    """Scale an incoming gradient by -coeff (coeff >= 0)."""
+def gradient_reversal(g_in: np.ndarray, coeff: float, out=None) -> np.ndarray:
+    """Scale an incoming gradient by -coeff (coeff >= 0), into ``out`` if
+    given (which may be ``g_in`` itself)."""
     if coeff < 0:
         raise ConfigurationError("gradient reversal coefficient must be >= 0")
-    return -coeff * np.asarray(g_in, dtype=np.float64)
+    return np.multiply(np.asarray(g_in, dtype=np.float64), -coeff, out=out)
 
 
 # ---------------------------------------------------------------------------

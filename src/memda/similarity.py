@@ -45,6 +45,70 @@ def _check_norms(x: np.ndarray, who: str) -> np.ndarray:
     return norms
 
 
+def prepare_rows(rows: np.ndarray, unit: bool, who: str = "reference"):
+    """The (rows, norms) pair a reference set holds for raw feature rows.
+
+    unit: (r / |r|, |r|), rejecting (near-)zero rows; otherwise (r, |r|^2).
+    Row by row, these are the values the kernels would compute from r.
+    """
+    if unit:
+        norms = _check_norms(rows, who)
+        return rows / norms[:, None], norms
+    return rows, np.sum(rows * rows, axis=1)
+
+
+class ReferenceSet:
+    """Reference rows in the form the kernels consume, plus reused buffers.
+
+    ``unit`` sets the layout: a cosine set holds unit rows r/|r| and
+    ``norms`` = |r|; a Euclidean or Gaussian set holds the raw rows and
+    ``norms`` = |r|^2. The memory bank keeps one set over its ring, written
+    once per row at enqueue; other reference rows (the source batch, a plain
+    array) are wrapped in a transient set per call.
+
+    The set owns one score matrix and one work matrix of n x len(self)
+    entries, reused by every call on it: the scores ``pairwise_similarity``
+    returns and the work ``pairwise_similarity_vjp`` and the consistency loss
+    write alias these buffers and stay valid until the next call on the set.
+    """
+
+    def __init__(self, unit: bool, rows: np.ndarray, norms: np.ndarray):
+        self.unit = unit
+        self.rows = rows
+        self.norms = norms
+        self._flat = None  # (2, size): flat score and work storage
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def buffers(self, n: int):
+        """(score, work): two contiguous n x len(self) matrices.
+
+        The storage only grows, so once a bank is full every call reuses it.
+        """
+        size = n * len(self)
+        if self._flat is None or self._flat.shape[1] < size:
+            self._flat = np.empty((2, size))
+        shape = (n, len(self))
+        return self._flat[0, :size].reshape(shape), self._flat[1, :size].reshape(shape)
+
+
+def reference_set(references, kind: SimilarityKind) -> ReferenceSet:
+    """``references`` as a set laid out for ``kind``; raw rows are wrapped
+    in a transient set."""
+    unit = kind.name == COSINE
+    if isinstance(references, ReferenceSet):
+        if references.unit == unit:
+            return references
+        if references.unit:
+            raise ConfigurationError(
+                f"a cosine reference set holds unit rows only; "
+                f"it cannot serve the {kind.name} kernel")
+        references = references.rows  # raw rows, normalized per call
+    rows = np.asarray(references, dtype=np.float64)
+    return ReferenceSet(unit, *prepare_rows(rows, unit))
+
+
 def similarity(f_i, f_j, kind: SimilarityKind) -> float:
     """Score a single pair of equal-width feature vectors."""
     a = np.asarray(f_i, dtype=np.float64).reshape(-1)
@@ -55,30 +119,39 @@ def similarity(f_i, f_j, kind: SimilarityKind) -> float:
 
 
 def pairwise_similarity(targets, references, kind: SimilarityKind) -> np.ndarray:
-    """Score matrix with entry (j, i) = similarity(target j, reference i)."""
+    """Score matrix with entry (j, i) = similarity(target j, reference i).
+
+    ``references`` is a ``ReferenceSet`` or an array of raw rows. The result
+    is the set's score buffer (see ``ReferenceSet``).
+    """
     t = np.asarray(targets, dtype=np.float64)
-    r = np.asarray(references, dtype=np.float64)
-    if r.shape[0] == 0:
+    refs = reference_set(references, kind)
+    if len(refs) == 0:
         raise ConfigurationError("reference set is empty")
-    if t.shape[1] != r.shape[1]:
-        raise ConfigurationError(f"widths differ: {t.shape[1]} vs {r.shape[1]}")
-    if kind.name == COSINE:
+    if t.shape[1] != refs.rows.shape[1]:
+        raise ConfigurationError(
+            f"widths differ: {t.shape[1]} vs {refs.rows.shape[1]}")
+    score, work = refs.buffers(t.shape[0])
+    if refs.unit:
         tn = _check_norms(t, "target")
-        rn = _check_norms(r, "reference")
-        return (t / tn[:, None]) @ (r / rn[:, None]).T
-    d2 = _sq_dists(t, r)
+        return np.matmul(t / tn[:, None], refs.rows.T, out=score)
+    _sq_dists(t, refs, score, work)
     if kind.name == EUCLIDEAN:
-        return -np.sqrt(d2)
-    return np.exp(-d2 / (2.0 * kind.sigma**2))
+        np.sqrt(score, out=score)
+        return np.negative(score, out=score)
+    np.negative(score, out=score)
+    np.divide(score, 2.0 * kind.sigma**2, out=score)
+    return np.exp(score, out=score)
 
 
-def _sq_dists(t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(t * t, axis=1)[:, None]
-        + np.sum(r * r, axis=1)[None, :]
-        - 2.0 * (t @ r.T)
-    )
-    return np.maximum(d2, 0.0)
+def _sq_dists(t: np.ndarray, refs: ReferenceSet, out: np.ndarray,
+              work: np.ndarray) -> np.ndarray:
+    """max(|t|^2 + |r|^2 - 2 t.r, 0) into ``out``; ``work`` is scratch."""
+    np.matmul(t, refs.rows.T, out=out)
+    out *= 2.0
+    np.add(np.sum(t * t, axis=1)[:, None], refs.norms[None, :], out=work)
+    np.subtract(work, out, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def pairwise_similarity_vjp(targets, references, kind: SimilarityKind,
@@ -87,28 +160,34 @@ def pairwise_similarity_vjp(targets, references, kind: SimilarityKind,
     """Gradient of sum(upstream * scores) w.r.t. the target rows.
 
     References are constants (bank entries or detached source features), so
-    no gradient is returned for them. Pass the already-computed score matrix
-    as ``sim`` to skip recomputing it.
+    no gradient is returned for them. Pass the score matrix already computed
+    on the same set as ``sim`` to skip recomputing it. The set's work buffer
+    receives the upstream-weighted scores; ``upstream`` may be that buffer
+    itself (when ``sim`` is given) and is then overwritten. The returned
+    gradient is a fresh array.
     """
     t = np.asarray(targets, dtype=np.float64)
-    r = np.asarray(references, dtype=np.float64)
+    refs = reference_set(references, kind)
     up = np.asarray(upstream, dtype=np.float64)
-    if kind.name == COSINE:
+    phi = sim if sim is not None else pairwise_similarity(t, refs, kind)
+    _, work = refs.buffers(t.shape[0])
+    if refs.unit:
         tn = _check_norms(t, "target")
-        rn = _check_norms(r, "reference")
         that = t / tn[:, None]
-        rhat = r / rn[:, None]
-        phi = sim if sim is not None else that @ rhat.T
         # d phi_i / dt = (rhat_i - phi_i * that) / |t|
-        return (up @ rhat - (up * phi).sum(axis=1, keepdims=True) * that) / tn[:, None]
+        grad = up @ refs.rows
+        np.multiply(up, phi, out=work)
+        grad -= work.sum(axis=1, keepdims=True) * that
+        grad /= tn[:, None]
+        return grad
     if kind.name == EUCLIDEAN:
-        d = -sim if sim is not None else np.sqrt(_sq_dists(t, r))
+        d = -phi
         coef = np.where(d > ZERO_NORM_TOL, up / np.maximum(d, ZERO_NORM_TOL), 0.0)
     else:
-        phi = sim if sim is not None else np.exp(-_sq_dists(t, r) / (2.0 * kind.sigma**2))
-        coef = up * phi / kind.sigma**2
+        coef = np.multiply(up, phi, out=work)
+        coef /= kind.sigma**2
     # sum_i coef_ji * (r_i - t_j)
-    return coef @ r - coef.sum(axis=1, keepdims=True) * t
+    return coef @ refs.rows - coef.sum(axis=1, keepdims=True) * t
 
 
 @dataclass

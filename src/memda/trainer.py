@@ -21,11 +21,12 @@ import numpy as np
 
 from . import losses, metrics
 from . import similarity as simmod
-from .bank import MemoryBank, bank_ready, momentum_update
+from .bank import MemoryBank, momentum_update
 from .datasets import DomainDataset, batch_sampler
 from .errors import ConfigurationError, NumericalError
 from .nn import (
     ModelBundle,
+    as_batch,
     build_model,
     classifier_forward,
     discriminator_forward,
@@ -40,6 +41,7 @@ MEMORY = "memory"
 BATCH = "batch"
 OFF = "off"
 ALL_COMPONENTS = frozenset({"sup", "adv", "sc"})
+PREDICT_CHUNK = 1024  # rows per network pass in predict()
 
 
 @dataclass
@@ -102,6 +104,13 @@ class TrainConfig:
             raise ConfigurationError(
                 f"unknown condition_backprop mode {self.condition_backprop!r}")
         simmod.SimilarityKind(self.similarity, self.gaussian_sigma)
+        if self.consistency == MEMORY and self.bank_capacity < self.gate_entries:
+            raise ConfigurationError(
+                f"bank_capacity {self.bank_capacity} is below the "
+                f"{self.gate_entries} entries the consistency loss waits for "
+                f"(min_bank_entries, else 5*k with k={self.k}), so it would "
+                f"never switch on: raise bank_capacity or lower "
+                f"min_bank_entries or k")
 
     @property
     def gate_entries(self) -> int:
@@ -143,19 +152,20 @@ class SGD:
     def __init__(self, params, momentum: float, weight_decay: float):
         self.params = list(params)
         self.velocities = [np.zeros_like(p) for p in self.params]
+        self._scratch = [np.empty_like(p) for p in self.params]
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.steps = 0
 
     def step(self, grads, lr: float) -> None:
-        for p, v, g in zip(self.params, self.velocities, grads):
+        for p, v, g, s in zip(self.params, self.velocities, grads, self._scratch):
             if not np.all(np.isfinite(g)):
                 raise NumericalError("non-finite gradient in SGD update")
             v *= self.momentum
             v += g
             if self.weight_decay:
-                v += self.weight_decay * p
-            p -= lr * v
+                v += np.multiply(self.weight_decay, p, out=s)
+            p -= np.multiply(lr, v, out=s)
         self.steps += 1
 
 
@@ -238,8 +248,8 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
         dh_s = model.discriminator.backward(tape_gs, dz_s)
         dh_t = model.discriminator.backward(tape_gt, dz_t)
         # ... while the encoder/classifier side sees the reversed gradient
-        dh_s = gradient_reversal(dh_s, lambda_adv)
-        dh_t = gradient_reversal(dh_t, lambda_adv)
+        gradient_reversal(dh_s, lambda_adv, out=dh_s)
+        gradient_reversal(dh_t, lambda_adv, out=dh_t)
         if model.multilinear:
             dfa_s, dga_s = losses.multilinear_map_vjp(f_s, g_s, dh_s)
             dfa_t, dga_t = losses.multilinear_map_vjp(f_t, g_t, dh_t)
@@ -264,7 +274,7 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
                 pseudo_labels=pseudo)
         else:
             consistency = losses.sample_consistency_batch(
-                f_t, f_s.copy(), np.asarray(y_source), config.tau, kind,
+                f_t, f_s, np.asarray(y_source), config.tau, kind,
                 config.k, model.num_classes, pseudo_labels=pseudo)
         report.l_sc = consistency.value
         report.skipped_anchors = consistency.skipped
@@ -305,7 +315,8 @@ def init_state(config: TrainConfig, input_dim: int, num_classes: int) -> Trainer
         multilinear=config.multilinear,
         seed=config.seed,
     )
-    bank = (MemoryBank(config.bank_capacity, config.embed_dim)
+    bank = (MemoryBank(config.bank_capacity, config.embed_dim,
+                       config.similarity_kind)
             if config.consistency == MEMORY else None)
     opt_encoder = SGD(model.encoder.parameters(), config.sgd_momentum,
                       config.weight_decay)
@@ -330,7 +341,7 @@ def train_step(state: TrainerState, x_source, y_source, x_target, y_target_eval,
         config.lambda_sc > 0 or diag)
     sc_active = want_sc and (
         config.consistency == BATCH
-        or bank_ready(bank, config.gate_entries)
+        or bank.ready(config.gate_entries)
     )
 
     out = forward_backward(model, x_source, y_source, x_target, config,
@@ -391,9 +402,14 @@ def train_step(state: TrainerState, x_source, y_source, x_target, y_target_eval,
 
 
 def predict(model: ModelBundle, features) -> np.ndarray:
-    f, _ = encoder_forward(features, model.encoder)
-    probs, _, _ = classifier_forward(f, model.classifier)
-    return np.argmax(probs, axis=1)
+    """Class predictions, PREDICT_CHUNK rows at a time to bound activations."""
+    x = as_batch(features)
+    preds = np.empty(x.shape[0], dtype=np.int64)
+    for lo in range(0, x.shape[0], PREDICT_CHUNK):
+        f, _ = encoder_forward(x[lo:lo + PREDICT_CHUNK], model.encoder)
+        probs, _, _ = classifier_forward(f, model.classifier)
+        preds[lo:lo + PREDICT_CHUNK] = np.argmax(probs, axis=1)
+    return preds
 
 
 @dataclass

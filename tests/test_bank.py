@@ -3,9 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memda.bank import MemoryBank, bank_ready, momentum_update, new_bank
-from memda.errors import ConfigurationError
+from memda.bank import MemoryBank, momentum_update
+from memda.errors import ConfigurationError, DegenerateInputError
 from memda.nn import build_model, encoder_forward
+from memda.similarity import (
+    COSINE,
+    EUCLIDEAN,
+    GAUSSIAN,
+    SimilarityKind,
+    pairwise_similarity,
+    pairwise_similarity_vjp,
+)
+
+KINDS = [SimilarityKind(COSINE), SimilarityKind(EUCLIDEAN),
+         SimilarityKind(GAUSSIAN, sigma=2.0)]
 
 
 def ids_as_features(ids, dim=3):
@@ -15,14 +26,14 @@ def ids_as_features(ids, dim=3):
 
 def test_new_bank_is_empty():
     for capacity in (48000, 24000, 1):
-        bank = new_bank(capacity)
+        bank = MemoryBank(capacity)
         assert len(bank) == 0
         assert bank.capacity == capacity
 
 
 def test_zero_capacity_rejected():
     with pytest.raises(ConfigurationError):
-        new_bank(0)
+        MemoryBank(0)
 
 
 def test_fifo_example_capacity_four():
@@ -91,11 +102,11 @@ def test_stored_features_are_detached_copies():
 
 def test_bank_ready_thresholds():
     bank = MemoryBank(1000)
-    assert not bank_ready(bank, 1)
-    assert bank_ready(bank, 0)
+    assert not bank.ready(1)
+    assert bank.ready(0)
     bank.enqueue(np.ones((160, 2)), np.zeros(160, dtype=int))
-    assert bank_ready(bank, 25)
-    assert not bank_ready(bank, 161)
+    assert bank.ready(25)
+    assert not bank.ready(161)
 
 
 def test_momentum_update_mu_zero_is_bitwise_copy():
@@ -139,3 +150,57 @@ def test_oversized_batch_keeps_newest_entries():
     bank.enqueue(ids_as_features(range(10)), list(range(10)))
     assert list(bank.features()[:, 0]) == [6.0, 7.0, 8.0, 9.0]
     assert len(bank) == 4
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+def test_bank_rows_score_bitwise_like_raw_rows(kind):
+    # capacity 40 with batches of 12 wraps the ring twice; after every
+    # enqueue the bank's own rows must give the very bits the kernels give
+    # on the raw rows it holds
+    rng = np.random.default_rng(11)
+    bank = MemoryBank(40, 8, kind)
+    raw = np.zeros((0, 8))
+    for _ in range(8):
+        batch = rng.normal(size=(12, 8))
+        bank.enqueue(batch, rng.integers(0, 4, size=12))
+        raw = np.vstack([raw, batch])[-40:]
+        targets = rng.normal(size=(6, 8))
+        up = rng.normal(size=(6, len(raw)))
+        want = pairwise_similarity(targets, raw, kind).copy()
+        got = pairwise_similarity(targets, bank.references, kind)
+        assert len(bank.references) == len(raw)
+        assert np.array_equal(got, want)
+        want_grad = pairwise_similarity_vjp(targets, raw, kind, up)
+        got_grad = pairwise_similarity_vjp(targets, bank.references, kind,
+                                           up, sim=got)
+        assert np.array_equal(got_grad, want_grad)
+
+
+def test_cosine_bank_stores_unit_rows_and_norms():
+    bank = MemoryBank(4, 2, SimilarityKind(COSINE))
+    bank.enqueue(np.array([[3.0, 4.0], [0.0, 2.0]]), [0, 1])
+    assert np.allclose(bank.features(), [[0.6, 0.8], [0.0, 1.0]])
+    assert np.array_equal(bank.references.norms, [5.0, 2.0])
+    raw = MemoryBank(4, 2, SimilarityKind(GAUSSIAN))
+    raw.enqueue(np.array([[3.0, 4.0], [0.0, 2.0]]), [0, 1])
+    assert np.array_equal(raw.features(), [[3.0, 4.0], [0.0, 2.0]])
+    assert np.array_equal(raw.references.norms, [25.0, 4.0])
+
+
+def test_zero_norm_enqueued_row_raises_with_its_index():
+    bank = MemoryBank(8, 3, SimilarityKind(COSINE))
+    bank.enqueue(np.ones((2, 3)), [0, 1])
+    batch = np.ones((4, 3))
+    batch[2] = 0.0
+    with pytest.raises(DegenerateInputError, match="row 2"):
+        bank.enqueue(batch, [0, 1, 2, 3])
+    assert len(bank) == 2  # the rejected batch left the ring untouched
+    assert list(bank.labels()) == [0, 1]
+
+
+def test_cosine_bank_refuses_other_kernels():
+    bank = MemoryBank(8, 2, SimilarityKind(COSINE))
+    bank.enqueue(np.ones((2, 2)), [0, 1])
+    with pytest.raises(ConfigurationError, match="unit rows"):
+        pairwise_similarity(np.ones((1, 2)), bank.references,
+                            SimilarityKind(EUCLIDEAN))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import memda.cli
 from memda.cli import (
     CSV_COLUMNS,
     load_model,
@@ -11,8 +12,15 @@ from memda.cli import (
     resolve_settings,
     train_config_from,
 )
-from memda.datasets import SOURCE, TARGET, load_feature_table
-from memda.errors import ConfigurationError
+from memda.datasets import SOURCE, TARGET, load_feature_table, save_feature_table
+from memda.errors import (
+    ConfigurationError,
+    DataFormatError,
+    DegenerateInputError,
+    GatingError,
+    MemdaError,
+    NumericalError,
+)
 
 TINY = {
     "classes": "5",
@@ -185,6 +193,48 @@ def test_train_on_feature_tables(tmp_path):
     assert rc == 0
 
 
+def test_bank_that_never_opens_its_gate_fails_fast(tmp_path, capsys):
+    # 16 entries can never reach the 5*k = 25 the consistency loss waits for
+    rc = main(["train", "--outdir", str(tmp_path / "r"), "--bank-capacity", "16",
+               "--k", "5", "--bootstrap-iters", "0", "--total-iters", "40"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bank_capacity 16" in err and "25 entries" in err
+    assert not (tmp_path / "r" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("error,code", [
+    (ConfigurationError, 2), (DataFormatError, 2), (NumericalError, 3),
+    (DegenerateInputError, 4), (GatingError, 5),
+])
+def test_package_errors_map_to_documented_exit_codes(tmp_path, monkeypatch,
+                                                     capsys, error, code):
+    assert issubclass(error, MemdaError) and error.exit_code == code
+
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(memda.cli, "run_training", fail)
+    assert main(["train", "--outdir", str(tmp_path / "r")] + tiny_flags()) == code
+    assert capsys.readouterr().err == f"{error.label}: boom\n"
+
+
+def test_zero_source_features_exit_4_at_first_enqueue(tmp_path, capsys):
+    # all-zero inputs give all-zero features from the freshly built encoder
+    # (zero biases), which the cosine bank rejects when they are enqueued
+    assert main(["gen-data", "--out", str(tmp_path / "d"),
+                 "--classes", "4", "--input-dim", "5", "--per-class", "15"]) == 0
+    source = load_feature_table(tmp_path / "d_source.csv", SOURCE)
+    source.features[...] = 0.0
+    save_feature_table(tmp_path / "d_source.csv", source)
+    rc = main(["train", "--outdir", str(tmp_path / "run"),
+               "--source-table", str(tmp_path / "d_source.csv"),
+               "--target-table", str(tmp_path / "d_target.csv")]
+              + tiny_flags(classes=4, bootstrap_iters=0))
+    assert rc == 4
+    assert "zero enqueued vector at row 0" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # ablate / eval
 
@@ -192,7 +242,7 @@ def test_train_on_feature_tables(tmp_path):
 def test_ablate_row_count_and_medians(tmp_path):
     outdir = tmp_path / "sweep"
     rc = main(["ablate", "--outdir", str(outdir),
-               "--axis", "bank_capacity", "--values", "16,64",
+               "--axis", "bank_capacity", "--values", "32,64",
                "--seeds", "0,1,2"] + tiny_flags(total_iters=20))
     assert rc == 0
     lines = (outdir / "results.csv").read_text().splitlines()

@@ -15,7 +15,7 @@ from memda.losses import (
     total_loss,
 )
 from memda.nn import PROB_EPS, finite_difference_check
-from memda.similarity import COSINE, SimilarityKind, pairwise_similarity
+from memda.similarity import COSINE, GAUSSIAN, SimilarityKind, pairwise_similarity
 
 COS = SimilarityKind(COSINE)
 
@@ -255,6 +255,27 @@ def test_bank_features_are_constants():
     grad_before = res.grad_targets.copy()
     bank._features += 100.0
     assert np.array_equal(res.grad_targets, grad_before)
+
+
+@pytest.mark.parametrize("kind", [COS, SimilarityKind(GAUSSIAN, sigma=2.0)],
+                         ids=lambda k: k.name)
+def test_successive_calls_keep_earlier_value_and_gradient(kind):
+    # the bank's score and work buffers are reused by the next call; what a
+    # result owns (value, grad_targets, per_anchor) must not move with them
+    rng = np.random.default_rng(31)
+    bank = MemoryBank(64, 5, kind)
+    bank.enqueue(rng.normal(size=(64, 5)), rng.integers(0, 4, size=64))
+    first = sample_consistency_memory(rng.normal(size=(6, 5)), bank, 0.2,
+                                      kind, k=5, num_classes=4)
+    value, grad = first.value, first.grad_targets.copy()
+    per_anchor = first.per_anchor.copy()
+    second = sample_consistency_memory(rng.normal(size=(6, 5)), bank, 0.2,
+                                       kind, k=5, num_classes=4)
+    assert second.value != value
+    assert first.value == value
+    assert np.array_equal(first.grad_targets, grad)
+    assert np.array_equal(first.per_anchor, per_anchor)
+    assert np.shares_memory(first.sim, second.sim)  # the documented alias
 
 
 def test_temperature_monotone_on_two_entry_instance():

@@ -131,6 +131,9 @@ def test_gradient_reversal_values():
     assert np.array_equal(gradient_reversal(v, 0.5), np.array([-1.0, 2.0]))
     with pytest.raises(ConfigurationError):
         gradient_reversal(v, -0.1)
+    fresh = gradient_reversal(v, 0.5)
+    assert gradient_reversal(v, 0.5, out=v) is v  # in place, same bits
+    assert np.array_equal(v, fresh)
 
 
 def test_gradient_reversal_forward_is_bitwise_identity():

@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from memda.datasets import ShiftSpec, apply_domain_shift, gen_gaussian_mixture
 from memda.errors import ConfigurationError, NumericalError
+from memda.nn import build_model, classifier_forward, encoder_forward
 from memda.trainer import (
+    PREDICT_CHUNK,
     SGD,
     TrainConfig,
     adv_coefficient,
     init_state,
     lr_schedule,
+    predict,
     run_training,
     sgd_update,
     train_step,
@@ -114,6 +119,16 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         small_config(mu=1.5).validate()
     small_config().validate()
+
+
+def test_bank_below_gate_is_rejected():
+    with pytest.raises(ConfigurationError, match=r"bank_capacity 16 .* 25 entries"):
+        small_config(bank_capacity=16, k=5).validate()
+    with pytest.raises(ConfigurationError, match=r"bank_capacity 128 .* 129"):
+        small_config(min_bank_entries=129).validate()
+    small_config(bank_capacity=25, k=5).validate()
+    # the gate only concerns the bank
+    small_config(bank_capacity=16, k=5, consistency="batch").validate()
 
 
 def test_gate_entries_default_is_five_k():
@@ -258,3 +273,52 @@ def test_lambda_sc_zero_with_diagnostics_tracks_scores():
     # but the objective never sees the consistency term
     for r in result.history:
         assert r.total == pytest.approx(r.l_sup + cfg.lambda_adv * r.l_adv, abs=1e-12)
+
+
+def test_consistency_step_allocates_little_at_recipe_shapes():
+    # the acceptance recipe's shapes: 50 classes, 16-d input, batch 32 and a
+    # full 4096-entry cosine bank; warmed-up steps reuse the bank's score and
+    # work buffers and the layers' and optimizers' scratch, so one step's
+    # transient peak stays under 3 MiB (fresh similarity, work and gradient
+    # temporaries every step would peak above 6 MiB)
+    cfg = TrainConfig(total_iters=2000, bootstrap_iters=500, lr_encoder=0.03,
+                      lambda_sc=1.0, tau=0.2)
+    cfg.validate()
+    rng = np.random.default_rng(0)
+    state = init_state(cfg, 16, 50)
+    state.bank.enqueue(rng.normal(size=(4096, cfg.embed_dim)),
+                       rng.integers(0, 50, size=4096))
+
+    def step(it):
+        return train_step(state, rng.normal(size=(32, 16)),
+                          rng.integers(0, 50, size=32),
+                          rng.normal(size=(32, 16)),
+                          rng.integers(0, 50, size=32), it, cfg)
+
+    for it in range(600, 603):
+        step(it)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        record = step(603)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert record.l_sc > 0.0  # the consistency branch ran
+    assert peak < 3 * 2**20, f"transient peak {peak / 2**20:.2f} MiB"
+
+
+def test_chunked_predict_equals_full_batch_pass():
+    # the acceptance data: 50 classes x 200 rows, 16-d, 30 degree shift
+    base = gen_gaussian_mixture(50, 16, 200, 4.0, 1.0, seed=1)
+    target = apply_domain_shift(base, ShiftSpec.from_degrees(30.0, noise=0.1, seed=2))
+    assert len(target) > 2 * PREDICT_CHUNK
+    model = build_model(input_dim=16, embed_dim=32, num_classes=50, seed=0)
+    f, _ = encoder_forward(target.features, model.encoder)
+    _, logits, _ = classifier_forward(f, model.classifier)
+    chunks = []
+    for lo in range(0, len(target), PREDICT_CHUNK):
+        fc, _ = encoder_forward(target.features[lo:lo + PREDICT_CHUNK], model.encoder)
+        chunks.append(classifier_forward(fc, model.classifier)[1])
+    assert np.array_equal(np.vstack(chunks), logits)
+    assert np.array_equal(predict(model, target.features), np.argmax(logits, axis=1))
