@@ -23,7 +23,7 @@ from .losses import (
     supervised_loss,
     total_loss,
 )
-from .metrics import EvalReport, accuracy, mean_similarity_score, per_class_accuracy, pseudo_label_accuracy
+from .metrics import EvalReport, accuracy, per_class_accuracy, pseudo_label_accuracy
 from .nn import (
     ModelBundle,
     build_model,
@@ -33,12 +33,5 @@ from .nn import (
     finite_difference_check,
     gradient_reversal,
 )
-# note: the scalar kernel lives at memda.similarity.similarity; re-exporting
-# it here would shadow the submodule attribute of the same name
-from .similarity import (
-    SimilarityKind,
-    classifier_pseudo_label,
-    knn_pseudo_label,
-    pairwise_similarity,
-)
+from .similarity import SimilarityKind, pairwise_similarity
 from .trainer import IterationRecord, TrainConfig, lr_schedule, run_training, train_step

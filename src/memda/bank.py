@@ -11,7 +11,9 @@ serves and written once, at enqueue, for the new rows only:
     cosine               unit rows r/|r| and norms |r|; a (near-)zero row
                          is rejected at enqueue with its row index
     euclidean, gaussian  raw rows r and squared norms |r|^2
-    no kind (default)    raw rows r and squared norms |r|^2
+
+The layout, like the capacity and the feature width, is fixed when the bank
+is built; the bank then serves only the kernels of that layout.
 
 ``references`` is the ``similarity.ReferenceSet`` over the stored rows,
 oldest first. It owns the score and work buffers the consistency loss
@@ -31,28 +33,23 @@ from .nn import MLP
 class MemoryBank:
     """FIFO ring of (feature, label) pairs, oldest first."""
 
-    def __init__(self, capacity: int, feature_dim: int | None = None,
-                 kind: simmod.SimilarityKind | None = None):
+    def __init__(self, capacity: int, feature_dim: int,
+                 kind: simmod.SimilarityKind):
         if capacity < 1:
             raise ConfigurationError("bank capacity must be >= 1")
         self.capacity = int(capacity)
-        self.feature_dim = feature_dim
+        self.feature_dim = int(feature_dim)
         # storage is mirrored (2x capacity, every row written twice) so the
         # oldest-to-newest window is always one contiguous zero-copy slice
-        self._features = None  # allocated lazily on first enqueue
-        self._norms = None
-        self._labels = None
+        self._features = np.zeros((2 * self.capacity, self.feature_dim))
+        self._norms = np.zeros(2 * self.capacity)
+        self._labels = np.zeros(2 * self.capacity, dtype=np.int64)
         self._head = 0  # ring position of the oldest entry once full
         self._size = 0
         self.references = simmod.ReferenceSet(
-            kind is not None and kind.name == simmod.COSINE,
-            np.zeros((0, feature_dim or 0)), np.zeros(0))
+            kind.name == simmod.COSINE, self._features[:0], self._norms[:0])
 
     def __len__(self) -> int:
-        return self._size
-
-    @property
-    def size(self) -> int:
         return self._size
 
     def ready(self, min_entries: int) -> bool:
@@ -68,12 +65,6 @@ class MemoryBank:
             raise ConfigurationError(
                 f"{feats.shape[0]} features vs {labs.shape[0]} labels"
             )
-        if self._features is None:
-            dim = self.feature_dim if self.feature_dim is not None else feats.shape[1]
-            self.feature_dim = dim
-            self._features = np.zeros((2 * self.capacity, dim))
-            self._norms = np.zeros(2 * self.capacity)
-            self._labels = np.zeros(2 * self.capacity, dtype=np.int64)
         if feats.shape[1] != self.feature_dim:
             raise ConfigurationError(
                 f"feature width {feats.shape[1]} != bank width {self.feature_dim}"
@@ -104,14 +95,8 @@ class MemoryBank:
         self.references.rows = self._features[window]
         self.references.norms = self._norms[window]
 
-    def features(self) -> np.ndarray:
-        """Stored rows, oldest to newest (zero-copy view): unit rows for a
-        cosine bank, raw rows otherwise."""
-        return self.references.rows
-
     def labels(self) -> np.ndarray:
-        if self._size == 0:
-            return np.zeros(0, dtype=np.int64)
+        """Stored labels, oldest to newest (zero-copy view)."""
         return self._labels[self._head:self._head + self._size]
 
 

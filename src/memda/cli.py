@@ -34,8 +34,7 @@ from .datasets import (
     save_feature_table,
 )
 from .errors import ConfigurationError, MemdaError
-from .nn import build_model
-from .trainer import RunResult, TrainConfig, run_training
+from .trainer import RunResult, TrainConfig, init_state, run_training
 
 CSV_COLUMNS = [
     "iter", "l_sup", "l_d", "l_sc", "total", "lr_encoder", "lr_heads",
@@ -122,6 +121,11 @@ def resolve_datasets(settings: dict):
         source = load_feature_table(settings["source_table"], SOURCE)
         target = load_feature_table(settings["target_table"], TARGET)
         return source, target
+    return _generate_datasets(settings)
+
+
+def _generate_datasets(settings: dict):
+    """The synthetic (source, target) pair the data settings describe."""
     dseed = settings["data_seed"]
     if dseed < 0:
         dseed = settings["seed"]
@@ -171,18 +175,8 @@ def save_model(path, model, config: TrainConfig) -> None:
 def load_model(path):
     data = np.load(path)
     config = TrainConfig(**json.loads(data["config_json"].item()))
-    input_dim = int(data["input_dim"])
     num_classes = data["classifier.0"].shape[0]
-    model = build_model(
-        input_dim=input_dim,
-        embed_dim=config.embed_dim,
-        num_classes=num_classes,
-        encoder_hidden=config.encoder_hidden,
-        encoder_layers=config.encoder_layers,
-        disc_hidden=config.disc_hidden,
-        multilinear=config.multilinear,
-        seed=config.seed,
-    )
+    model = init_state(config, int(data["input_dim"]), num_classes).model
     for name, net in (("encoder", model.encoder),
                       ("classifier", model.classifier),
                       ("discriminator", model.discriminator)):
@@ -224,16 +218,7 @@ def summary_dict(result: RunResult) -> dict:
 
 def cmd_gen_data(args) -> int:
     settings = resolve_settings(args.config, _collect_overrides(args))
-    dseed = settings["data_seed"] if settings["data_seed"] >= 0 else settings["seed"]
-    source = gen_gaussian_mixture(
-        settings["classes"], settings["input_dim"], settings["per_class"],
-        settings["class_spread"], settings["within_std"], seed=dseed)
-    base = gen_gaussian_mixture(
-        settings["classes"], settings["input_dim"], settings["per_class"],
-        settings["class_spread"], settings["within_std"], seed=dseed + 1)
-    shift = ShiftSpec.from_degrees(settings["rotation_deg"],
-                                   noise=settings["shift_noise"], seed=dseed + 2)
-    target = apply_domain_shift(base, shift)
+    source, target = _generate_datasets(settings)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     src_path = prefix.parent / (prefix.name + "_source.csv")

@@ -216,6 +216,8 @@ def load_feature_table(path, domain: str = SOURCE) -> DomainDataset:
                 row = [float(v) for v in parts[1:]]
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+            if not np.all(np.isfinite(row)):
+                raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
             if label >= num_classes or label < -1:
                 raise DataFormatError(f"{path}:{lineno}: label {label} out of range")
             if label == -1 and domain == SOURCE:

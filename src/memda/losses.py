@@ -13,10 +13,10 @@ the trainer chains those through the networks.
 Reference features (memory bank or detached source batch) are constants in
 l_sc: gradients flow only to the target anchors. The consistency loss runs
 on a ``similarity.ReferenceSet``: the bank's own set, whose rows were
-prepared once at enqueue (unit rows for cosine, raw rows and squared norms
-otherwise), or a transient set wrapping the source batch. Its score matrix
-and its work matrix are reused by every call on the set: a
-``ConsistencyResult``'s ``sim`` and the ``dsim`` of
+prepared once at enqueue in the layout of the bank's kernel (unit rows for
+cosine, raw rows and squared norms otherwise), or a transient set wrapping
+the source batch. Its score matrix and its work matrix are reused by every
+call on the set: a ``ConsistencyResult``'s ``sim`` and the ``dsim`` of
 ``consistency_from_similarity`` alias those buffers until the next call on
 the same set, while ``value``, ``grad_targets`` and ``per_anchor`` are the
 caller's own.
@@ -24,7 +24,7 @@ caller's own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class LossReport:
     l_adv: float = 0.0
     l_sc: float = 0.0
     total: float = 0.0
-    per_anchor: list = field(default_factory=list)
     skipped_anchors: int = 0
 
 
@@ -114,7 +113,6 @@ class ConsistencyResult:
     sim: np.ndarray                 # the scores used; aliases the set's buffer
     per_anchor: np.ndarray          # (n_targets,) individual -log terms
     skipped: int                    # anchors with an empty positive set
-    all_skipped: bool = False
 
 
 def consistency_from_similarity(sim, positive_mask, tau: float, work=None):
@@ -181,10 +179,8 @@ def _consistency(targets, references, ref_labels, tau, k, kind, num_classes,
     value, dsim, per_anchor, skipped = consistency_from_similarity(
         sim, pos, tau, work=work)
     grad = simmod.pairwise_similarity_vjp(targets, refs, kind, dsim, sim=sim)
-    return ConsistencyResult(
-        value, grad, assignment, pos, sim, per_anchor, skipped,
-        all_skipped=(skipped == sim.shape[0]),
-    )
+    return ConsistencyResult(value, grad, assignment, pos, sim, per_anchor,
+                             skipped)
 
 
 def sample_consistency_batch(targets, source_feats, source_labels, tau: float,
@@ -207,9 +203,10 @@ def sample_consistency_memory(targets, bank, tau: float,
                               pseudo_labels=None) -> ConsistencyResult:
     """Memory form: the bank replaces the source batch as the reference set.
 
-    The bank's own reference set is used as is when its layout serves
-    ``kind``. With kNN pseudo-labels the positive set is nonempty by
-    construction (the winning class has at least one neighbour in the bank)."""
+    The bank's own reference set is used as is; ``kind`` must be the kernel
+    the bank was built for. With kNN pseudo-labels the positive set is
+    nonempty by construction (the winning class has at least one neighbour
+    in the bank)."""
     if len(bank) < k:
         raise GatingError(f"bank holds {len(bank)} entries, k={k}")
     return _consistency(targets, bank.references, bank.labels(), tau, k, kind,

@@ -6,11 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import similarity as simmod
 from .errors import ConfigurationError
-
-AVERAGED = "averaged"  # mean similarity over positives, then over anchors
-LITERAL = "literal"    # sum over positives per anchor, then mean over anchors
 
 
 @dataclass
@@ -48,36 +44,20 @@ def macro_accuracy(per_class: np.ndarray) -> float:
     return float(per_class[present].mean()) if present.any() else float("nan")
 
 
-def mean_similarity_from_matrix(sim: np.ndarray, positive_mask: np.ndarray,
-                                mode: str = AVERAGED) -> float:
-    """Aggregate anchor-to-positive similarities.
+def mean_similarity_both(sim: np.ndarray, positive_mask: np.ndarray):
+    """(averaged, literal) anchor-to-positive similarity, in one pass.
 
     averaged: per-anchor mean over positives, then mean over anchors (bounded
     diagnostic); literal: per-anchor sum over positives, then mean over
-    anchors. Anchors without positives are excluded; 0.0 if none remain.
+    anchors. Anchors without positives are excluded; (0.0, 0.0) if none
+    remain.
     """
-    if mode not in (AVERAGED, LITERAL):
-        raise ConfigurationError(f"unknown mean-similarity mode {mode!r}")
-    averaged, literal = mean_similarity_both(sim, positive_mask)
-    return literal if mode == LITERAL else averaged
-
-
-def mean_similarity_both(sim: np.ndarray, positive_mask: np.ndarray):
-    """(averaged, literal) scores in one pass over the matrix."""
     counts = positive_mask.sum(axis=1)
     keep = counts > 0
     if not keep.any():
         return 0.0, 0.0
     sums = np.where(positive_mask, sim, 0.0).sum(axis=1)[keep]
     return float((sums / counts[keep]).mean()), float(sums.mean())
-
-
-def mean_similarity_score(targets, bank, assignment, kind: simmod.SimilarityKind,
-                          mode: str = AVERAGED) -> float:
-    """Similarity between each anchor and its positive bank entries."""
-    sim = simmod.pairwise_similarity(targets, bank.references, kind)
-    pos = bank.labels()[None, :] == np.asarray(assignment.labels)[:, None]
-    return mean_similarity_from_matrix(sim, pos, mode)
 
 
 def pseudo_label_accuracy(assignment_labels, eval_truth) -> float:

@@ -209,7 +209,8 @@ def build_model(
     seed: int = 0,
 ) -> ModelBundle:
     """Deterministically initialize the encoder/classifier/discriminator stack."""
-    if min(input_dim, embed_dim, num_classes, disc_hidden) < 1 or encoder_layers < 0:
+    if (min(input_dim, embed_dim, num_classes, disc_hidden) < 1
+            or encoder_layers < 0 or (encoder_layers and encoder_hidden < 1)):
         raise ConfigurationError("model dimensions must be positive")
     rng = np.random.default_rng(seed)
     enc_sizes = [input_dim] + [encoder_hidden] * encoder_layers + [embed_dim]
@@ -291,14 +292,10 @@ def discriminator_forward(h, discriminator: MLP):
     return p, tape
 
 
-def gradient_reversal_forward(x):
-    """Identity; the reversal lives entirely in the backward direction."""
-    return x
-
-
 def gradient_reversal(g_in: np.ndarray, coeff: float, out=None) -> np.ndarray:
-    """Scale an incoming gradient by -coeff (coeff >= 0), into ``out`` if
-    given (which may be ``g_in`` itself)."""
+    """Backward of the gradient reversal layer, whose forward is the
+    identity: scale an incoming gradient by -coeff (coeff >= 0), into
+    ``out`` if given (which may be ``g_in`` itself)."""
     if coeff < 0:
         raise ConfigurationError("gradient reversal coefficient must be >= 0")
     return np.multiply(np.asarray(g_in, dtype=np.float64), -coeff, out=out)

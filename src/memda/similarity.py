@@ -2,9 +2,8 @@
 
 All kernels follow the "larger is more similar" contract: cosine in [-1, 1],
 Euclidean as negated L2 distance, Gaussian as exp(-d^2 / (2 sigma^2)).
-Pseudo-labels come either from a k-nearest-neighbour majority vote over a
-reference set (the memory bank or the source batch) or, as an ablation
-baseline, from the classifier's argmax.
+Pseudo-labels come from a k-nearest-neighbour majority vote over a
+reference set (the memory bank or the source batch).
 """
 
 from __future__ import annotations
@@ -62,9 +61,10 @@ class ReferenceSet:
 
     ``unit`` sets the layout: a cosine set holds unit rows r/|r| and
     ``norms`` = |r|; a Euclidean or Gaussian set holds the raw rows and
-    ``norms`` = |r|^2. The memory bank keeps one set over its ring, written
-    once per row at enqueue; other reference rows (the source batch, a plain
-    array) are wrapped in a transient set per call.
+    ``norms`` = |r|^2. A set serves only the kernels of its layout. The
+    memory bank keeps one set over its ring, written once per row at
+    enqueue; other reference rows (the source batch, a plain array) are
+    wrapped in a transient set per call.
 
     The set owns one score matrix and one work matrix of n x len(self)
     entries, reused by every call on it: the scores ``pairwise_similarity``
@@ -94,32 +94,21 @@ class ReferenceSet:
 
 
 def reference_set(references, kind: SimilarityKind) -> ReferenceSet:
-    """``references`` as a set laid out for ``kind``; raw rows are wrapped
-    in a transient set."""
+    """``references`` as a set laid out for ``kind``: a set must already
+    have that layout; raw rows are wrapped in a transient set."""
     unit = kind.name == COSINE
     if isinstance(references, ReferenceSet):
-        if references.unit == unit:
-            return references
-        if references.unit:
+        if references.unit != unit:
             raise ConfigurationError(
-                f"a cosine reference set holds unit rows only; "
-                f"it cannot serve the {kind.name} kernel")
-        references = references.rows  # raw rows, normalized per call
+                f"a reference set of {'unit' if references.unit else 'raw'} "
+                f"rows cannot serve the {kind.name} kernel")
+        return references
     rows = np.asarray(references, dtype=np.float64)
     return ReferenceSet(unit, *prepare_rows(rows, unit))
 
 
-def similarity(f_i, f_j, kind: SimilarityKind) -> float:
-    """Score a single pair of equal-width feature vectors."""
-    a = np.asarray(f_i, dtype=np.float64).reshape(-1)
-    b = np.asarray(f_j, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise ConfigurationError(f"widths differ: {a.shape[0]} vs {b.shape[0]}")
-    return float(pairwise_similarity(a[None, :], b[None, :], kind)[0, 0])
-
-
 def pairwise_similarity(targets, references, kind: SimilarityKind) -> np.ndarray:
-    """Score matrix with entry (j, i) = similarity(target j, reference i).
+    """Score matrix with entry (j, i) = the score of target j vs reference i.
 
     ``references`` is a ``ReferenceSet`` or an array of raw rows. The result
     is the set's score buffer (see ``ReferenceSet``).
@@ -191,21 +180,12 @@ def pairwise_similarity_vjp(targets, references, kind: SimilarityKind,
 
 
 @dataclass
-class PseudoLabel:
-    """kNN vote for one anchor: winning class, neighbour positions, vote counts."""
-
-    label: int
-    neighbors: np.ndarray  # k reference positions, most similar first
-    votes: np.ndarray      # per-class neighbour counts, length num_classes
-
-
-@dataclass
 class PseudoLabelAssignment:
-    """Batched pseudo-labels: one row per anchor."""
+    """kNN pseudo-labels: one row per anchor."""
 
-    labels: np.ndarray     # (n,)
-    neighbors: np.ndarray  # (n, k)
-    votes: np.ndarray      # (n, num_classes)
+    labels: np.ndarray     # (n,) winning classes
+    neighbors: np.ndarray  # (n, k) reference positions, most similar first
+    votes: np.ndarray      # (n, num_classes) per-class neighbour counts
 
 
 def _top_k(sim_row: np.ndarray, k: int) -> np.ndarray:
@@ -226,7 +206,8 @@ def _top_k(sim_row: np.ndarray, k: int) -> np.ndarray:
 
 
 def _vote(nbrs: np.ndarray, sim_row: np.ndarray, ref_labels: np.ndarray,
-          num_classes: int) -> PseudoLabel:
+          num_classes: int):
+    """(winning class, per-class vote counts) among the neighbours."""
     votes = np.zeros(num_classes, dtype=np.int64)
     cumsim = np.zeros(num_classes)
     for idx in nbrs:
@@ -238,29 +219,17 @@ def _vote(nbrs: np.ndarray, sim_row: np.ndarray, ref_labels: np.ndarray,
     if tied.size > 1:
         # break by largest cumulative similarity, then smallest class index
         tied = tied[cumsim[tied] == cumsim[tied].max()]
-    return PseudoLabel(int(tied[0]), nbrs.copy(), votes)
-
-
-def knn_pseudo_label(sim_row, ref_labels, k: int, num_classes: int | None = None) -> PseudoLabel:
-    """Majority vote among the k most similar reference entries.
-
-    Ties in similarity resolve to the smallest reference position; ties in
-    the vote resolve by largest cumulative similarity, then smallest class.
-    """
-    sim_row = np.asarray(sim_row, dtype=np.float64).reshape(-1)
-    ref_labels = np.asarray(ref_labels, dtype=np.int64).reshape(-1)
-    if k < 1:
-        raise ConfigurationError("k must be >= 1")
-    if sim_row.shape[0] < k:
-        raise GatingError(f"reference set of size {sim_row.shape[0]} smaller than k={k}")
-    if num_classes is None:
-        num_classes = int(ref_labels.max()) + 1
-    return _vote(_top_k(sim_row, k), sim_row, ref_labels, num_classes)
+    return int(tied[0]), votes
 
 
 def assign_pseudo_labels(sim: np.ndarray, ref_labels, k: int,
                          num_classes: int) -> PseudoLabelAssignment:
-    """kNN pseudo-labels for every row of a similarity matrix."""
+    """Majority vote among the k most similar references, for every row of
+    a similarity matrix.
+
+    Ties in similarity resolve to the smallest reference position; ties in
+    the vote resolve by largest cumulative similarity, then smallest class.
+    """
     ref_labels = np.asarray(ref_labels, dtype=np.int64).reshape(-1)
     if sim.shape[1] < k:
         raise GatingError(f"reference set of size {sim.shape[1]} smaller than k={k}")
@@ -269,13 +238,7 @@ def assign_pseudo_labels(sim: np.ndarray, ref_labels, k: int,
     neighbors = np.zeros((n, k), dtype=np.int64)
     votes = np.zeros((n, num_classes), dtype=np.int64)
     for j in range(n):
-        pl = _vote(_top_k(sim[j], k), sim[j], ref_labels, num_classes)
-        labels[j] = pl.label
-        neighbors[j] = pl.neighbors
-        votes[j] = pl.votes
+        neighbors[j] = _top_k(sim[j], k)
+        labels[j], votes[j] = _vote(neighbors[j], sim[j], ref_labels,
+                                    num_classes)
     return PseudoLabelAssignment(labels, neighbors, votes)
-
-
-def classifier_pseudo_label(prob_row) -> int:
-    """Argmax class of one probability row; ties go to the smallest index."""
-    return int(np.argmax(np.asarray(prob_row, dtype=np.float64).reshape(-1)))

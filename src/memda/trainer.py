@@ -92,6 +92,12 @@ class TrainConfig:
             raise ConfigurationError("bank_capacity must be >= 1")
         if min(self.lr_encoder, self.lr_heads) <= 0:
             raise ConfigurationError("learning rates must be positive")
+        if self.lr_alpha < 0:
+            raise ConfigurationError("lr_alpha must be >= 0")
+        if not 0 <= self.sgd_momentum < 1:
+            raise ConfigurationError("sgd_momentum must lie in [0, 1)")
+        if self.weight_decay < 0:
+            raise ConfigurationError("weight_decay must be >= 0")
         if not 0 <= self.mu <= 1:
             raise ConfigurationError("mu must lie in [0, 1]")
         if self.pseudo_labels not in (KNN, CLASSIFIER):
@@ -167,15 +173,6 @@ class SGD:
                 v += np.multiply(self.weight_decay, p, out=s)
             p -= np.multiply(lr, v, out=s)
         self.steps += 1
-
-
-def sgd_update(params, grads, lr: float, momentum: float = 0.0,
-               weight_decay: float = 0.0, state: SGD | None = None) -> SGD:
-    """One momentum-SGD step; pass ``state`` back in to keep velocities."""
-    if state is None:
-        state = SGD(params, momentum, weight_decay)
-    state.step(grads, lr)
-    return state
 
 
 def lr_schedule(iteration: int, config: TrainConfig):
@@ -289,9 +286,6 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
 
     report.total = losses.total_loss(report.l_sup, report.l_adv, report.l_sc,
                                      lambda_adv, config.lambda_sc)
-    report.per_anchor = (
-        list(consistency.per_anchor) if consistency is not None else []
-    )
     return StepOutput(report, f_s, f_t, g_t, consistency)
 
 
@@ -305,6 +299,8 @@ class TrainerState:
 
 
 def init_state(config: TrainConfig, input_dim: int, num_classes: int) -> TrainerState:
+    """The untrained model, bank and optimizers a run of ``config`` starts
+    from; ``cli.load_model`` builds a saved model's networks here too."""
     model = build_model(
         input_dim=input_dim,
         embed_dim=config.embed_dim,

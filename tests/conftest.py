@@ -72,7 +72,7 @@ def tiny_problem(seed, *, input_dim=6, embed_dim=8, num_classes=5, batch=4,
     x_s = rng.normal(size=(batch, input_dim))
     y_s = rng.integers(0, num_classes, size=batch)
     x_t = rng.normal(size=(batch, input_dim))
-    bank = MemoryBank(bank_entries, embed_dim)
+    bank = MemoryBank(bank_entries, embed_dim, cfg.similarity_kind)
     bank.enqueue(rng.normal(size=(bank_entries, embed_dim)),
                  rng.integers(0, num_classes, size=bank_entries))
     return model, cfg, x_s, y_s, x_t, bank

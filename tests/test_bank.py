@@ -17,6 +17,7 @@ from memda.similarity import (
 
 KINDS = [SimilarityKind(COSINE), SimilarityKind(EUCLIDEAN),
          SimilarityKind(GAUSSIAN, sigma=2.0)]
+EUC = SimilarityKind(EUCLIDEAN)  # raw rows: the FIFO tests read them back
 
 
 def ids_as_features(ids, dim=3):
@@ -26,40 +27,42 @@ def ids_as_features(ids, dim=3):
 
 def test_new_bank_is_empty():
     for capacity in (48000, 24000, 1):
-        bank = MemoryBank(capacity)
+        bank = MemoryBank(capacity, 3, EUC)
         assert len(bank) == 0
         assert bank.capacity == capacity
+        assert bank.references.rows.shape == (0, 3)
+        assert len(bank.labels()) == 0
 
 
 def test_zero_capacity_rejected():
     with pytest.raises(ConfigurationError):
-        MemoryBank(0)
+        MemoryBank(0, 3, EUC)
 
 
 def test_fifo_example_capacity_four():
-    bank = MemoryBank(4)
+    bank = MemoryBank(4, 3, EUC)
     bank.enqueue(ids_as_features([1, 2, 3]), [0, 0, 0])
     bank.enqueue(ids_as_features([4, 5, 6]), [1, 1, 1])
-    assert list(bank.features()[:, 0]) == [3.0, 4.0, 5.0, 6.0]
+    assert list(bank.references.rows[:, 0]) == [3.0, 4.0, 5.0, 6.0]
     assert list(bank.labels()) == [0, 1, 1, 1]
 
 
 def test_enqueue_into_empty_bank():
-    bank = MemoryBank(4096)
+    bank = MemoryBank(4096, 8, EUC)
     bank.enqueue(np.ones((32, 8)), np.zeros(32, dtype=int))
     assert len(bank) == 32
 
 
 def test_full_batch_twice_keeps_second():
-    bank = MemoryBank(3)
+    bank = MemoryBank(3, 3, EUC)
     bank.enqueue(ids_as_features([1, 2, 3]), [0, 1, 2])
     bank.enqueue(ids_as_features([4, 5, 6]), [3, 4, 5])
-    assert list(bank.features()[:, 0]) == [4.0, 5.0, 6.0]
+    assert list(bank.references.rows[:, 0]) == [4.0, 5.0, 6.0]
     assert list(bank.labels()) == [3, 4, 5]
 
 
 def test_width_mismatch_rejected():
-    bank = MemoryBank(8)
+    bank = MemoryBank(8, 4, EUC)
     bank.enqueue(np.ones((2, 4)), [0, 1])
     with pytest.raises(ConfigurationError):
         bank.enqueue(np.ones((2, 5)), [0, 1])
@@ -73,7 +76,7 @@ def test_width_mismatch_rejected():
     batch_sizes=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=12),
 )
 def test_fifo_law_against_list_oracle(capacity, batch_sizes):
-    bank = MemoryBank(capacity)
+    bank = MemoryBank(capacity, 2, EUC)
     oracle = []
     next_id = 0
     for size in batch_sizes:
@@ -83,7 +86,7 @@ def test_fifo_law_against_list_oracle(capacity, batch_sizes):
         oracle.extend(ids)
         kept = oracle[-capacity:]
         assert len(bank) == len(kept) <= capacity
-        assert list(bank.features()[:, 0]) == [float(i) for i in kept]
+        assert list(bank.references.rows[:, 0]) == [float(i) for i in kept]
         assert list(bank.labels()) == [i % 7 for i in kept]
 
 
@@ -91,17 +94,17 @@ def test_stored_features_are_detached_copies():
     model = build_model(input_dim=3, embed_dim=4, num_classes=2, seed=1)
     x = np.random.default_rng(0).normal(size=(5, 3))
     f, _ = encoder_forward(x, model.encoder)
-    bank = MemoryBank(16)
+    bank = MemoryBank(16, 4, EUC)
     bank.enqueue(f, np.zeros(5, dtype=int))
-    before = bank.features().copy()
+    before = bank.references.rows.copy()
     for p in model.encoder.parameters():
         p += 10.0
     f[...] = -1.0  # mutating the enqueued array must not leak either
-    assert np.array_equal(bank.features(), before)
+    assert np.array_equal(bank.references.rows, before)
 
 
 def test_bank_ready_thresholds():
-    bank = MemoryBank(1000)
+    bank = MemoryBank(1000, 2, EUC)
     assert not bank.ready(1)
     assert bank.ready(0)
     bank.enqueue(np.ones((160, 2)), np.zeros(160, dtype=int))
@@ -146,9 +149,9 @@ def test_momentum_update_shape_mismatch():
 
 
 def test_oversized_batch_keeps_newest_entries():
-    bank = MemoryBank(4)
+    bank = MemoryBank(4, 3, EUC)
     bank.enqueue(ids_as_features(range(10)), list(range(10)))
-    assert list(bank.features()[:, 0]) == [6.0, 7.0, 8.0, 9.0]
+    assert list(bank.references.rows[:, 0]) == [6.0, 7.0, 8.0, 9.0]
     assert len(bank) == 4
 
 
@@ -179,11 +182,11 @@ def test_bank_rows_score_bitwise_like_raw_rows(kind):
 def test_cosine_bank_stores_unit_rows_and_norms():
     bank = MemoryBank(4, 2, SimilarityKind(COSINE))
     bank.enqueue(np.array([[3.0, 4.0], [0.0, 2.0]]), [0, 1])
-    assert np.allclose(bank.features(), [[0.6, 0.8], [0.0, 1.0]])
+    assert np.allclose(bank.references.rows, [[0.6, 0.8], [0.0, 1.0]])
     assert np.array_equal(bank.references.norms, [5.0, 2.0])
     raw = MemoryBank(4, 2, SimilarityKind(GAUSSIAN))
     raw.enqueue(np.array([[3.0, 4.0], [0.0, 2.0]]), [0, 1])
-    assert np.array_equal(raw.features(), [[3.0, 4.0], [0.0, 2.0]])
+    assert np.array_equal(raw.references.rows, [[3.0, 4.0], [0.0, 2.0]])
     assert np.array_equal(raw.references.norms, [25.0, 4.0])
 
 
@@ -204,3 +207,9 @@ def test_cosine_bank_refuses_other_kernels():
     with pytest.raises(ConfigurationError, match="unit rows"):
         pairwise_similarity(np.ones((1, 2)), bank.references,
                             SimilarityKind(EUCLIDEAN))
+    # and a bank of raw rows serves no cosine kernel
+    raw = MemoryBank(8, 2, SimilarityKind(GAUSSIAN))
+    raw.enqueue(np.ones((2, 2)), [0, 1])
+    with pytest.raises(ConfigurationError, match="raw rows"):
+        pairwise_similarity(np.ones((1, 2)), raw.references,
+                            SimilarityKind(COSINE))

@@ -9,7 +9,9 @@ from memda.cli import (
     load_model,
     main,
     parse_config_file,
+    resolve_datasets,
     resolve_settings,
+    run_from_settings,
     train_config_from,
 )
 from memda.datasets import SOURCE, TARGET, load_feature_table, save_feature_table
@@ -21,6 +23,7 @@ from memda.errors import (
     MemdaError,
     NumericalError,
 )
+from memda.trainer import predict
 
 TINY = {
     "classes": "5",
@@ -191,6 +194,12 @@ def test_train_on_feature_tables(tmp_path):
                "--target-table", str(tmp_path / "d_target.csv")]
               + tiny_flags(classes=4))
     assert rc == 0
+    # the tables hold exactly the data a run generates from the same settings
+    generated = tmp_path / "generated"
+    assert main(["train", "--outdir", str(generated)]
+                + tiny_flags(classes=4, per_class=15)) == 0
+    assert ((outdir / "metrics.csv").read_bytes()
+            == (generated / "metrics.csv").read_bytes())
 
 
 def test_bank_that_never_opens_its_gate_fails_fast(tmp_path, capsys):
@@ -201,6 +210,14 @@ def test_bank_that_never_opens_its_gate_fails_fast(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bank_capacity 16" in err and "25 entries" in err
     assert not (tmp_path / "r" / "metrics.csv").exists()
+
+
+def test_out_of_range_optimiser_settings_exit_2(tmp_path, capsys):
+    for flag, value in (("--sgd-momentum", "1.5"), ("--sgd-momentum", "-0.5"),
+                        ("--weight-decay", "-1"), ("--lr-alpha", "-5")):
+        rc = main(["train", "--outdir", str(tmp_path / "r"), flag, value])
+        assert rc == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error,code", [
@@ -288,9 +305,19 @@ def test_eval_subcommand_on_saved_model(tmp_path, capsys):
 
 
 def test_model_round_trip(tmp_path):
-    outdir = tmp_path / "run"
-    assert main(["train", "--outdir", str(outdir)] + tiny_flags(seed=2)) == 0
-    model, config = load_model(outdir / "model.npz")
+    settings = resolve_settings(None, {**TINY, "seed": "2"})
+    trained = run_from_settings(settings, tmp_path / "run").model
+    model, config = load_model(tmp_path / "run" / "model.npz")
+    assert config == train_config_from(settings)
     assert config.seed == 2
     assert model.encoder.n_in == 5
     assert model.num_classes == 5
+    for name in ("encoder", "classifier", "discriminator"):
+        loaded = getattr(model, name).parameters()
+        saved = getattr(trained, name).parameters()
+        assert len(loaded) == len(saved)
+        for a, b in zip(loaded, saved):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()  # bitwise
+    x = resolve_datasets(settings)[1].features
+    assert np.array_equal(predict(model, x), predict(trained, x))

@@ -152,6 +152,12 @@ def test_feature_table_header_and_label_errors(tmp_path):
         load_feature_table(path, SOURCE)
     loaded = load_feature_table(path, TARGET)  # unlabeled target rows are fine
     assert loaded._labels[0] == -1
+    path.write_text("2,2\n0,1.0,nan\n")
+    with pytest.raises(DataFormatError, match=r"t\.csv:2: non-finite"):
+        load_feature_table(path, SOURCE)
+    path.write_text("2,2\n0,1.0,2.0\n1,-inf,0.5\n")
+    with pytest.raises(DataFormatError, match=r"t\.csv:3: non-finite"):
+        load_feature_table(path, TARGET)
     path.write_text("# only comments\n")
     with pytest.raises(DataFormatError, match="no header"):
         load_feature_table(path, SOURCE)

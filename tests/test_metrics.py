@@ -4,12 +4,9 @@ import pytest
 from memda.bank import MemoryBank
 from memda.errors import ConfigurationError
 from memda.metrics import (
-    AVERAGED,
-    LITERAL,
     accuracy,
     macro_accuracy,
-    mean_similarity_from_matrix,
-    mean_similarity_score,
+    mean_similarity_both,
     per_class_accuracy,
     pseudo_label_accuracy,
 )
@@ -48,41 +45,39 @@ def test_macro_average_on_balanced_sets_equals_accuracy():
 
 
 def test_mean_similarity_modes():
+    # (averaged, literal): mean vs sum over each anchor's positives
     sim = np.array([[0.8, -0.5]])
     pos = np.array([[True, False]])
-    assert mean_similarity_from_matrix(sim, pos, AVERAGED) == pytest.approx(0.8)
-    assert mean_similarity_from_matrix(sim, pos, LITERAL) == pytest.approx(0.8)
+    assert mean_similarity_both(sim, pos) == pytest.approx((0.8, 0.8))
     sim = np.array([[0.5, 0.7, 0.0]])
     pos = np.array([[True, True, False]])
-    assert mean_similarity_from_matrix(sim, pos, AVERAGED) == pytest.approx(0.6)
-    assert mean_similarity_from_matrix(sim, pos, LITERAL) == pytest.approx(1.2)
-    with pytest.raises(ConfigurationError):
-        mean_similarity_from_matrix(sim, pos, "sum")
+    assert mean_similarity_both(sim, pos) == pytest.approx((0.6, 1.2))
 
 
 def test_mean_similarity_all_identical_anchors():
-    bank = MemoryBank(8, 2)
+    bank = MemoryBank(8, 2, COS)
     bank.enqueue(np.array([[2.0, 0.0], [4.0, 0.0]]), [1, 1])
     targets = np.array([[1.0, 0.0]])
-    assignment = assign_pseudo_labels(
-        pairwise_similarity(targets, bank.features(), COS), bank.labels(), 1, 2)
-    score = mean_similarity_score(targets, bank, assignment, COS, AVERAGED)
-    assert score == pytest.approx(1.0, abs=1e-12)
+    sim = pairwise_similarity(targets, bank.references, COS)
+    assignment = assign_pseudo_labels(sim, bank.labels(), 1, 2)
+    pos = bank.labels()[None, :] == assignment.labels[:, None]
+    averaged, _ = mean_similarity_both(sim, pos)
+    assert averaged == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mean_similarity_excludes_empty_anchors():
     sim = np.array([[0.9, 0.9], [0.1, 0.1]])
     pos = np.array([[True, False], [False, False]])
-    assert mean_similarity_from_matrix(sim, pos, AVERAGED) == pytest.approx(0.9)
+    assert mean_similarity_both(sim, pos)[0] == pytest.approx(0.9)
     none = np.zeros((2, 2), dtype=bool)
-    assert mean_similarity_from_matrix(sim, none, AVERAGED) == 0.0
+    assert mean_similarity_both(sim, none) == (0.0, 0.0)
 
 
 def test_averaged_mode_bounded_for_cosine():
     rng = np.random.default_rng(1)
     sim = np.clip(rng.normal(size=(6, 30)), -1.0, 1.0)
     pos = rng.uniform(size=(6, 30)) < 0.3
-    v = mean_similarity_from_matrix(sim, pos, AVERAGED)
+    v, _ = mean_similarity_both(sim, pos)
     assert -1.0 <= v <= 1.0
 
 

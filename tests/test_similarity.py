@@ -11,11 +11,8 @@ from memda.similarity import (
     GAUSSIAN,
     SimilarityKind,
     assign_pseudo_labels,
-    classifier_pseudo_label,
-    knn_pseudo_label,
     pairwise_similarity,
     pairwise_similarity_vjp,
-    similarity,
 )
 
 COS = SimilarityKind(COSINE)
@@ -23,26 +20,52 @@ EUC = SimilarityKind(EUCLIDEAN)
 GAU = SimilarityKind(GAUSSIAN, sigma=1.0)
 
 
+def pair_oracle(a, b, kind):
+    """Closed-form score of one pair, computed directly from its definition."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if kind.name == COSINE:
+        return float(a @ b) / (np.sqrt(a @ a) * np.sqrt(b @ b))
+    d2 = float((a - b) @ (a - b))
+    if kind.name == EUCLIDEAN:
+        return -np.sqrt(d2)
+    return np.exp(-d2 / (2.0 * kind.sigma**2))
+
+
+def score(a, b, kind):
+    """Entry (0, 0) of the score matrix of one target against one reference."""
+    return pairwise_similarity(np.array([a], dtype=float),
+                               np.array([b], dtype=float), kind)[0, 0]
+
+
+def knn_row(sim_row, labels, k, num_classes):
+    """(label, neighbours, votes) of a single anchor's kNN assignment."""
+    a = assign_pseudo_labels(np.array([sim_row], dtype=float), labels, k,
+                             num_classes)
+    return int(a.labels[0]), list(a.neighbors[0]), list(a.votes[0])
+
+
 def test_cosine_identical_directions():
-    assert similarity([1.0, 0.0], [1.0, 0.0], COS) == pytest.approx(1.0)
+    t = np.array([[1.0, 0.0], [2.0, 2.0], [-3.0, 1.0]])
+    m = pairwise_similarity(t, np.array([[5.0, 0.0], [0.5, 0.5], [-6.0, 2.0]]), COS)
+    assert np.diag(m) == pytest.approx([1.0, 1.0, 1.0], abs=1e-15)
 
 
 def test_cosine_hand_value():
     expected = 11.0 / (np.sqrt(5.0) * 5.0)  # dot / (|a| |b|) computed directly
-    got = similarity([1.0, 2.0], [3.0, 4.0], COS)
+    got = score([1.0, 2.0], [3.0, 4.0], COS)
     assert got == pytest.approx(expected, abs=1e-12)
     assert got == pytest.approx(0.98387, abs=1e-4)
 
 
 def test_euclidean_three_four_five():
-    assert similarity([0.0, 0.0], [3.0, 4.0], EUC) == pytest.approx(-5.0, abs=1e-12)
+    assert score([0.0, 0.0], [3.0, 4.0], EUC) == pytest.approx(-5.0, abs=1e-12)
 
 
 def test_gaussian_is_exp_of_half_square_distance():
     d2 = 25.0
-    assert similarity([0.0, 0.0], [3.0, 4.0], GAU) == pytest.approx(np.exp(-d2 / 2.0))
+    assert score([0.0, 0.0], [3.0, 4.0], GAU) == pytest.approx(np.exp(-d2 / 2.0))
     wide = SimilarityKind(GAUSSIAN, sigma=5.0)
-    assert similarity([0.0, 0.0], [3.0, 4.0], wide) == pytest.approx(np.exp(-d2 / 50.0))
+    assert score([0.0, 0.0], [3.0, 4.0], wide) == pytest.approx(np.exp(-d2 / 50.0))
 
 
 def test_gaussian_sigma_must_be_positive():
@@ -51,8 +74,10 @@ def test_gaussian_sigma_must_be_positive():
 
 
 def test_cosine_zero_vector_is_degenerate():
-    with pytest.raises(DegenerateInputError, match="row 0"):
-        similarity([0.0, 0.0], [1.0, 0.0], COS)
+    with pytest.raises(DegenerateInputError, match="target vector at row 0"):
+        score([0.0, 0.0], [1.0, 0.0], COS)
+    with pytest.raises(DegenerateInputError, match="reference vector at row 1"):
+        pairwise_similarity(np.ones((1, 2)), np.array([[1.0, 0.0], [0.0, 0.0]]), COS)
     targets = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(DegenerateInputError, match="target vector at row 1"):
         pairwise_similarity(targets, np.eye(2), COS)
@@ -79,7 +104,7 @@ def test_pairwise_matches_per_pair_oracle(kind):
     m = pairwise_similarity(t, r, kind)
     for j in range(4):
         for i in range(16):
-            assert m[j, i] == pytest.approx(similarity(t[j], r[i], kind), abs=1e-12)
+            assert m[j, i] == pytest.approx(pair_oracle(t[j], r[i], kind), abs=1e-12)
 
 
 def test_empty_reference_set_rejected():
@@ -88,52 +113,46 @@ def test_empty_reference_set_rejected():
 
 
 def test_knn_k1_takes_most_similar():
-    pl = knn_pseudo_label([0.1, 0.9, 0.5], [2, 0, 1], k=1, num_classes=3)
-    assert pl.label == 0
-    assert list(pl.neighbors) == [1]
-    assert list(pl.votes) == [1, 0, 0]
+    assert knn_row([0.1, 0.9, 0.5], [2, 0, 1], k=1, num_classes=3) == (0, [1], [1, 0, 0])
 
 
 def test_knn_majority():
     sim = [0.9, 0.8, 0.7, 0.6, 0.5]
     labels = [0, 0, 0, 1, 1]
-    pl = knn_pseudo_label(sim, labels, k=5, num_classes=2)
-    assert pl.label == 0
-    assert list(pl.votes) == [3, 2]
+    label, _, votes = knn_row(sim, labels, k=5, num_classes=2)
+    assert label == 0
+    assert votes == [3, 2]
 
 
 def test_knn_vote_tie_broken_by_cumulative_similarity():
     # A: 0.9 + 0.2 = 1.1 < B: 0.8 + 0.7 = 1.5
     sim = [0.9, 0.2, 0.8, 0.7]
     labels = [0, 0, 1, 1]
-    pl = knn_pseudo_label(sim, labels, k=4, num_classes=2)
-    assert pl.label == 1
+    assert knn_row(sim, labels, k=4, num_classes=2)[0] == 1
 
 
 def test_knn_full_tie_falls_back_to_class_index():
     sim = [0.5, 0.5, 0.5, 0.5]
     labels = [3, 1, 3, 1]
-    pl = knn_pseudo_label(sim, labels, k=4, num_classes=4)
-    assert pl.label == 1
+    assert knn_row(sim, labels, k=4, num_classes=4)[0] == 1
 
 
 def test_knn_similarity_ties_use_bank_position():
     # equal scores everywhere: the k lowest positions are the neighbours
     sim = [0.7] * 6
     labels = [2, 2, 1, 1, 0, 0]
-    pl = knn_pseudo_label(sim, labels, k=3, num_classes=3)
-    assert list(pl.neighbors) == [0, 1, 2]
-    assert pl.label == 2
+    label, neighbors, _ = knn_row(sim, labels, k=3, num_classes=3)
+    assert neighbors == [0, 1, 2]
+    assert label == 2
 
 
 def test_knn_bank_smaller_than_k():
     with pytest.raises(GatingError):
-        knn_pseudo_label([0.1, 0.2], [0, 1], k=3, num_classes=2)
+        knn_row([0.1, 0.2], [0, 1], k=3, num_classes=2)
 
 
 def test_knn_unanimous_neighbors():
-    pl = knn_pseudo_label([0.9, 0.8, 0.7], [4, 4, 4], k=3, num_classes=5)
-    assert pl.label == 4
+    assert knn_row([0.9, 0.8, 0.7], [4, 4, 4], k=3, num_classes=5)[0] == 4
 
 
 def test_knn_agrees_with_brute_force_oracle():
@@ -141,15 +160,18 @@ def test_knn_agrees_with_brute_force_oracle():
     for trial in range(1000):
         k = int(rng.choice([1, 3, 5, 11]))
         m = int(rng.integers(k, 40))
+        n = int(rng.integers(1, 4))
         num_classes = int(rng.integers(2, 7))
-        sim = rng.normal(size=m)
+        sim = rng.normal(size=(n, m))
         if trial % 3 == 0:
             sim = np.round(sim, 1)  # force plenty of exact ties
         labels = rng.integers(0, num_classes, size=m)
-        want_label, want_nbrs = brute_force_knn(list(sim), list(labels), k, num_classes)
-        pl = knn_pseudo_label(sim, labels, k, num_classes)
-        assert pl.label == want_label
-        assert list(pl.neighbors) == want_nbrs
+        got = assign_pseudo_labels(sim, labels, k, num_classes)
+        for j in range(n):
+            want_label, want_nbrs = brute_force_knn(list(sim[j]), list(labels),
+                                                    k, num_classes)
+            assert got.labels[j] == want_label
+            assert list(got.neighbors[j]) == want_nbrs
 
 
 def test_assign_matches_per_row_op():
@@ -158,22 +180,23 @@ def test_assign_matches_per_row_op():
     labels = rng.integers(0, 4, size=20)
     batch = assign_pseudo_labels(sim, labels, k=5, num_classes=4)
     for j in range(6):
-        pl = knn_pseudo_label(sim[j], labels, k=5, num_classes=4)
-        assert batch.labels[j] == pl.label
-        assert np.array_equal(batch.neighbors[j], pl.neighbors)
-        assert np.array_equal(batch.votes[j], pl.votes)
+        want_label, want_nbrs = brute_force_knn(list(sim[j]), list(labels), 5, 4)
+        assert batch.labels[j] == want_label
+        assert list(batch.neighbors[j]) == want_nbrs
+        assert list(batch.votes[j]) == list(np.bincount(labels[want_nbrs], minlength=4))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_cosine_scale_invariance(seed):
     rng = np.random.default_rng(seed)
-    f = rng.normal(size=4) + 0.1
-    g = rng.normal(size=4) + 0.1
-    a, b = rng.uniform(0.1, 10.0, size=2)
-    base = similarity(f, g, COS)
-    scaled = similarity(a * f, b * g, COS)
-    assert abs(base - scaled) <= 1e-12
+    f = rng.normal(size=(3, 4)) + 0.1
+    g = rng.normal(size=(5, 4)) + 0.1
+    a = rng.uniform(0.1, 10.0, size=(3, 1))
+    b = rng.uniform(0.1, 10.0, size=(5, 1))
+    base = pairwise_similarity(f, g, COS)
+    scaled = pairwise_similarity(a * f, b * g, COS)
+    assert np.max(np.abs(base - scaled)) <= 1e-12
 
 
 def test_knn_invariant_to_positive_rescaling():
@@ -186,16 +209,6 @@ def test_knn_invariant_to_positive_rescaling():
     scaled = assign_pseudo_labels(
         pairwise_similarity(2.5 * t, scales * r, COS), labels, 5, 5)
     assert np.array_equal(base.labels, scaled.labels)
-
-
-def test_classifier_pseudo_label():
-    assert classifier_pseudo_label([0.1, 0.7, 0.2]) == 1
-    assert classifier_pseudo_label([0.25, 0.25, 0.25, 0.25]) == 0
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        row = rng.uniform(size=6)
-        want = max(range(6), key=lambda i: (row[i], -i))  # scan-for-max oracle
-        assert classifier_pseudo_label(row) == want
 
 
 @pytest.mark.parametrize("kind", [COS, EUC, GAU])

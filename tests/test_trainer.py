@@ -15,7 +15,6 @@ from memda.trainer import (
     lr_schedule,
     predict,
     run_training,
-    sgd_update,
     train_step,
 )
 
@@ -77,7 +76,7 @@ def test_sgd_zero_gradient_keeps_params():
 
 def test_sgd_single_step():
     p = np.array([0.0])
-    sgd_update([p], [np.array([1.0])], lr=0.1, momentum=0.0, weight_decay=0.0)
+    SGD([p], momentum=0.0, weight_decay=0.0).step([np.array([1.0])], lr=0.1)
     assert p[0] == pytest.approx(-0.1, abs=1e-15)
 
 
@@ -118,6 +117,12 @@ def test_config_validation():
         small_config(pseudo_labels="oracle").validate()
     with pytest.raises(ConfigurationError):
         small_config(mu=1.5).validate()
+    for key, bad in (("sgd_momentum", 1.0), ("sgd_momentum", 1.5),
+                     ("sgd_momentum", -0.5), ("weight_decay", -1.0),
+                     ("lr_alpha", -5.0)):
+        with pytest.raises(ConfigurationError, match=key):
+            small_config(**{key: bad}).validate()
+    small_config(sgd_momentum=0.0, weight_decay=0.0, lr_alpha=0.0).validate()
     small_config().validate()
 
 
