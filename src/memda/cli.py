@@ -33,7 +33,7 @@ from .datasets import (
     load_feature_table,
     save_feature_table,
 )
-from .errors import ConfigurationError, MemdaError
+from .errors import ConfigurationError, DataFormatError, MemdaError
 from .trainer import RunResult, TrainConfig, init_state, run_training
 
 CSV_COLUMNS = [
@@ -98,8 +98,9 @@ def parse_config_file(path) -> dict:
     return settings
 
 
-def resolve_settings(config_path=None, overrides=None) -> dict:
-    settings = dict(ALL_DEFAULTS)
+def resolve_settings(config_path=None, overrides=None, base=None) -> dict:
+    """``base`` (default: the defaults), then the config file, then flags."""
+    settings = dict(base or ALL_DEFAULTS)
     if config_path:
         settings.update(parse_config_file(config_path))
     for key, raw in (overrides or {}).items():
@@ -160,21 +161,30 @@ def write_metrics_csv(path, history) -> None:
             fh.write(f"{r.iteration},{floats},{r.bank_size},{diag},{r.skip_count}\n")
 
 
-def save_model(path, model, config: TrainConfig) -> None:
+def save_model(path, model, settings: dict) -> None:
+    """The networks' parameters plus the run's resolved settings."""
     arrays = {}
     for name, net in (("encoder", model.encoder),
                       ("classifier", model.classifier),
                       ("discriminator", model.discriminator)):
         for i, p in enumerate(net.parameters()):
             arrays[f"{name}.{i}"] = p
-    arrays["config_json"] = np.array(json.dumps(dataclasses.asdict(config)))
+    arrays["settings_json"] = np.array(json.dumps(settings, sort_keys=True))
     arrays["input_dim"] = np.array(model.encoder.n_in)
     np.savez(path, **arrays)
 
 
+def load_settings(path) -> dict:
+    """The resolved settings of the run that saved the model at ``path``."""
+    with np.load(path) as data:
+        if "settings_json" not in data:
+            raise DataFormatError(f"{path}: no saved run settings; retrain")
+        return resolve_settings(None, json.loads(data["settings_json"].item()))
+
+
 def load_model(path):
+    config = train_config_from(load_settings(path))
     data = np.load(path)
-    config = TrainConfig(**json.loads(data["config_json"].item()))
     num_classes = data["classifier.0"].shape[0]
     model = init_state(config, int(data["input_dim"]), num_classes).model
     for name, net in (("encoder", model.encoder),
@@ -240,7 +250,7 @@ def run_from_settings(settings: dict, outdir: Path) -> RunResult:
     with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary_dict(result), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    save_model(outdir / "model.npz", result.model, config)
+    save_model(outdir / "model.npz", result.model, settings)
     return result
 
 
@@ -296,8 +306,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, config = load_model(args.model)
-    settings = resolve_settings(args.config, _collect_overrides(args))
+    model, _ = load_model(args.model)
+    # the saved run's data, unless the config file or flags override it
+    settings = resolve_settings(args.config, _collect_overrides(args),
+                                base=load_settings(args.model))
     if settings["target_table"]:
         target = load_feature_table(settings["target_table"], TARGET)
     else:

@@ -122,21 +122,27 @@ def consistency_from_similarity(sim, positive_mask, tau: float, work=None):
     i.e. -log of the total softmax mass on the positive set. Anchors with no
     positives contribute 0 and are tallied; anchors whose positive set covers
     every reference contribute exactly 0.0. Returns
-    (value, dsim, per_anchor, skipped). The pass runs in ``work``, an array
-    shaped like ``sim`` (fresh when None), which comes back as ``dsim``.
+    (value, dsim, per_anchor, skipped). The pass runs in ``work``, a
+    C-contiguous array shaped like ``sim`` (fresh when None), which comes
+    back as ``dsim``.
     """
     if not tau > 0:
         raise ConfigurationError("temperature must be > 0")
+    if work is not None and not work.flags.c_contiguous:
+        raise ConfigurationError("the work array must be C-contiguous")
     sim = np.asarray(sim, dtype=np.float64)
     pos = np.asarray(positive_mask, dtype=bool)
     n, m = sim.shape
 
     # positives are sparse (a batch rarely covers many bank classes), so the
-    # positive-side sums run on gathered entries; the dense buffer is reused
-    # in place to keep full-matrix passes to a minimum
-    rows, cols = np.nonzero(pos)
+    # positive-side sums run on entries gathered by flat index, in row-major
+    # order; the dense buffer is reused in place to keep full-matrix passes
+    # to a minimum
+    flat = np.flatnonzero(pos)
+    rows = flat // m
     work = np.divide(sim, tau, out=work)
-    s_vals = work[rows, cols]
+    work_flat = work.reshape(-1)  # a view of the contiguous buffer
+    s_vals = work_flat[flat]
     counts = np.bincount(rows, minlength=n)
     has_pos = counts > 0
     full = counts == m  # every reference positive: the term is exactly 0
@@ -150,8 +156,8 @@ def consistency_from_similarity(sim, positive_mask, tau: float, work=None):
 
     m_pos = np.zeros(n)
     if rows.size:
-        present, starts = np.unique(rows, return_index=True)
-        m_pos[present] = np.maximum.reduceat(s_vals, starts)
+        starts = (np.cumsum(counts) - counts)[has_pos]
+        m_pos[has_pos] = np.maximum.reduceat(s_vals, starts)
     e_vals = np.exp(s_vals - m_pos[rows])
     sum_pos = np.bincount(rows, weights=e_vals, minlength=n)
     sum_pos_safe = np.where(has_pos, sum_pos, 1.0)
@@ -160,7 +166,7 @@ def consistency_from_similarity(sim, positive_mask, tau: float, work=None):
     per_anchor = np.where(full, 0.0, np.where(has_pos, lse_all - lse_pos, 0.0))
 
     np.divide(work, sum_all[:, None], out=work)  # softmax over all references
-    work[rows, cols] -= e_vals / sum_pos_safe[rows]
+    work_flat[flat] -= e_vals / sum_pos_safe[rows]
     work /= tau * n
     work[~has_pos] = 0.0
     return float(per_anchor.sum() / n), work, per_anchor, skipped

@@ -188,38 +188,7 @@ class PseudoLabelAssignment:
     votes: np.ndarray      # (n, num_classes) per-class neighbour counts
 
 
-def _top_k(sim_row: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k largest scores, most similar first.
-
-    Exactly reproduces a full stable sort by (-score, position): among equal
-    scores the smallest positions win, without the O(m log m) full sort.
-    """
-    m = sim_row.size
-    if k >= m:
-        candidates = np.arange(m)
-    else:
-        kth = np.partition(sim_row, m - k)[m - k]
-        above = np.flatnonzero(sim_row > kth)
-        ties = np.flatnonzero(sim_row == kth)[: k - above.size]
-        candidates = np.concatenate((above, ties))
-    return candidates[np.argsort(-sim_row[candidates], kind="stable")]
-
-
-def _vote(nbrs: np.ndarray, sim_row: np.ndarray, ref_labels: np.ndarray,
-          num_classes: int):
-    """(winning class, per-class vote counts) among the neighbours."""
-    votes = np.zeros(num_classes, dtype=np.int64)
-    cumsim = np.zeros(num_classes)
-    for idx in nbrs:
-        c = ref_labels[idx]
-        votes[c] += 1
-        cumsim[c] += sim_row[idx]
-    best = votes.max()
-    tied = np.where(votes == best)[0]
-    if tied.size > 1:
-        # break by largest cumulative similarity, then smallest class index
-        tied = tied[cumsim[tied] == cumsim[tied].max()]
-    return int(tied[0]), votes
+KNN_GROUPS = 64  # column groups whose maxima bound each row's k-th score
 
 
 def assign_pseudo_labels(sim: np.ndarray, ref_labels, k: int,
@@ -229,16 +198,38 @@ def assign_pseudo_labels(sim: np.ndarray, ref_labels, k: int,
 
     Ties in similarity resolve to the smallest reference position; ties in
     the vote resolve by largest cumulative similarity, then smallest class.
+    Every reference label must lie in [0, num_classes).
     """
     ref_labels = np.asarray(ref_labels, dtype=np.int64).reshape(-1)
-    if sim.shape[1] < k:
-        raise GatingError(f"reference set of size {sim.shape[1]} smaller than k={k}")
-    n = sim.shape[0]
-    labels = np.zeros(n, dtype=np.int64)
-    neighbors = np.zeros((n, k), dtype=np.int64)
-    votes = np.zeros((n, num_classes), dtype=np.int64)
-    for j in range(n):
-        neighbors[j] = _top_k(sim[j], k)
-        labels[j], votes[j] = _vote(neighbors[j], sim[j], ref_labels,
-                                    num_classes)
-    return PseudoLabelAssignment(labels, neighbors, votes)
+    n, m = sim.shape
+    if m < k:
+        raise GatingError(f"reference set of size {m} smaller than k={k}")
+    if ref_labels.size != m:
+        raise ConfigurationError(f"{ref_labels.size} labels for {m} references")
+    bad = (ref_labels < 0) | (ref_labels >= num_classes)
+    if bad.any():
+        raise ConfigurationError(
+            f"reference label {ref_labels[bad][0]} outside [0, {num_classes})")
+    # Exact pruning: the maxima of g disjoint column groups are g entries of
+    # the row at distinct positions, so their k-th largest is at most the
+    # row's k-th largest score. Every entry that can be among the k nearest,
+    # ties included, is at or above it. Group i holds columns i, i + g, ...
+    # of the first m - m % g (a reshape view); the rest need no group.
+    g = min(m, max(KNN_GROUPS, k))
+    gmax = sim[:, :m - m % g].reshape(n, m // g, g).max(axis=1)
+    thr = np.partition(gmax, g - k, axis=1)[:, g - k]
+    rows, cols = np.divmod(np.flatnonzero(sim >= thr[:, None]), m)
+    vals = sim[rows, cols]
+    # candidates come in (row, position) order and lexsort is stable, so
+    # sorting by (row, -score) keeps the smallest positions first among ties
+    order = np.lexsort((-vals, rows))
+    counts = np.bincount(rows, minlength=n)
+    pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    neighbors = cols[pick]
+    flat = (np.arange(n)[:, None] * num_classes + ref_labels[neighbors]).ravel()
+    votes = np.bincount(flat, minlength=n * num_classes).reshape(n, num_classes)
+    cumsim = np.zeros(n * num_classes)
+    np.add.at(cumsim, flat, vals[pick].ravel())  # in neighbour order
+    tied = np.where(votes == votes.max(axis=1, keepdims=True),
+                    cumsim.reshape(n, num_classes), -np.inf)
+    return PseudoLabelAssignment(tied.argmax(axis=1), neighbors, votes)

@@ -304,6 +304,28 @@ def test_eval_subcommand_on_saved_model(tmp_path, capsys):
     assert 0.0 <= report["overall_accuracy"] <= 1.0
 
 
+def test_eval_scores_the_saved_runs_data(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--outdir", str(run_dir), "--classes", "4",
+                 "--input-dim", "5", "--seed", "7", "--total-iters", "40",
+                 "--bootstrap-iters", "10", "--per-class", "30"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", str(run_dir / "model.npz")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert report["overall_accuracy"] == summary["overall_accuracy"]
+    # an explicit flag still overrides the saved settings
+    assert main(["eval", "--model", str(run_dir / "model.npz"),
+                 "--input-dim", "6"]) == 2
+    assert "encoder expects width 5, got 6" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_model_without_settings(tmp_path, capsys):
+    np.savez(tmp_path / "bare.npz", input_dim=np.array(5))
+    assert main(["eval", "--model", str(tmp_path / "bare.npz")]) == 2
+    assert "no saved run settings" in capsys.readouterr().err
+
+
 def test_model_round_trip(tmp_path):
     settings = resolve_settings(None, {**TINY, "seed": "2"})
     trained = run_from_settings(settings, tmp_path / "run").model

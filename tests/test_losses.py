@@ -216,6 +216,17 @@ def test_empty_positive_anchor_is_skipped_with_zero_loss():
     assert np.all(dsim[1] == 0.0)
 
 
+def test_work_buffer_must_be_contiguous():
+    sim = np.array([[0.5, 0.1], [0.4, 0.2]])
+    pos = np.array([[True, False], [False, True]])
+    _, fresh, _, _ = consistency_from_similarity(sim, pos, 1.0)
+    buf = np.empty((2, 2))
+    _, dsim, _, _ = consistency_from_similarity(sim, pos, 1.0, work=buf)
+    assert dsim is buf and dsim.tobytes() == fresh.tobytes()
+    with pytest.raises(ConfigurationError, match="C-contiguous"):
+        consistency_from_similarity(sim, pos, 1.0, work=np.empty((2, 4))[:, ::2])
+
+
 def test_all_anchors_skipped_flag():
     targets = np.random.default_rng(0).normal(size=(2, 3))
     sources = np.random.default_rng(1).normal(size=(5, 3))

@@ -155,6 +155,18 @@ def test_knn_unanimous_neighbors():
     assert knn_row([0.9, 0.8, 0.7], [4, 4, 4], k=3, num_classes=5)[0] == 4
 
 
+def assert_knn_matches_oracle(sim, labels, k, num_classes):
+    """Labels, neighbours and votes of every row against the full-sort oracle."""
+    got = assign_pseudo_labels(sim, labels, k, num_classes)
+    for j in range(sim.shape[0]):
+        want_label, want_nbrs = brute_force_knn(list(sim[j]), list(labels),
+                                                k, num_classes)
+        assert got.labels[j] == want_label
+        assert list(got.neighbors[j]) == want_nbrs
+        assert list(got.votes[j]) == list(
+            np.bincount(labels[want_nbrs], minlength=num_classes))
+
+
 def test_knn_agrees_with_brute_force_oracle():
     rng = np.random.default_rng(12)
     for trial in range(1000):
@@ -166,12 +178,37 @@ def test_knn_agrees_with_brute_force_oracle():
         if trial % 3 == 0:
             sim = np.round(sim, 1)  # force plenty of exact ties
         labels = rng.integers(0, num_classes, size=m)
-        got = assign_pseudo_labels(sim, labels, k, num_classes)
-        for j in range(n):
-            want_label, want_nbrs = brute_force_knn(list(sim[j]), list(labels),
-                                                    k, num_classes)
-            assert got.labels[j] == want_label
-            assert list(got.neighbors[j]) == want_nbrs
+        assert_knn_matches_oracle(sim, labels, k, num_classes)
+    # bank widths, where the column-group bound prunes: one column per group
+    # with columns left outside every group (64, 65, 127), many columns per
+    # group (512, 4096), k above 64; ties from rounding and constant rows
+    for m in (64, 65, 127, 512, 4096):
+        for k in (1, 5, 63, 64, 65, 70):
+            if k > m:
+                continue
+            for ties in ("none", "1 decimal", "0 decimals", "constant"):
+                n = int(rng.integers(1, 65 if m < 4096 else 9))
+                num_classes = int(rng.integers(2, 51))
+                sim = rng.normal(size=(n, m))
+                if ties == "1 decimal":
+                    sim = np.round(sim, 1)
+                elif ties == "0 decimals":
+                    sim = np.round(sim, 0)
+                elif ties == "constant":
+                    sim[: (n + 1) // 2] = 0.25
+                labels = rng.integers(0, num_classes, size=m)
+                assert_knn_matches_oracle(sim, labels, k, num_classes)
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 5])
+def test_knn_rejects_out_of_range_reference_labels(bad):
+    with pytest.raises(ConfigurationError, match=rf"label {bad} .*\b3\b"):
+        assign_pseudo_labels(np.array([[0.9, 0.1, 0.2]]), [bad, 0, 1], 1, 3)
+
+
+def test_knn_rejects_label_count_mismatch():
+    with pytest.raises(ConfigurationError, match="2 labels for 3 references"):
+        assign_pseudo_labels(np.array([[0.9, 0.1, 0.2]]), [0, 1], 1, 3)
 
 
 def test_assign_matches_per_row_op():
