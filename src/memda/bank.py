@@ -101,18 +101,15 @@ class MemoryBank:
 
 
 def momentum_update(slow: MLP, fast: MLP, mu: float) -> None:
-    """In-place slow-encoder update: theta_slow <- (1-mu)*theta_fast + mu*theta_slow."""
+    """In-place slow-encoder update over the flat parameter vectors:
+    theta_slow <- (1-mu)*theta_fast + mu*theta_slow."""
     if not 0.0 <= mu <= 1.0:
         raise ConfigurationError(f"momentum coefficient {mu} outside [0, 1]")
-    slow_params = slow.parameters()
-    fast_params = fast.parameters()
-    if len(slow_params) != len(fast_params):
+    if [p.shape for p in slow.parameters()] != [p.shape for p in fast.parameters()]:
         raise ConfigurationError("encoder copies have different layouts")
-    for ps, pf in zip(slow_params, fast_params):
-        if ps.shape != pf.shape:
-            raise ConfigurationError("encoder copies have different shapes")
-        if mu == 0.0:
-            ps[...] = pf  # bitwise copy
-        elif mu != 1.0:  # mu == 1 is the identity
-            ps *= mu
-            ps += (1.0 - mu) * pf
+    ps, pf = slow.flat_params, fast.flat_params
+    if mu == 0.0:
+        ps[...] = pf  # bitwise copy
+    elif mu != 1.0:  # mu == 1 is the identity
+        ps *= mu
+        ps += (1.0 - mu) * pf

@@ -67,13 +67,16 @@ def supervised_loss(probs, labels):
     return value, dprobs
 
 
-def multilinear_map(f, g):
-    """Flattened outer product h[:, i*C + c] = f[:, i] * g[:, c], batched."""
+def multilinear_map(f, g, out=None):
+    """Flattened outer product h[:, i*C + c] = f[:, i] * g[:, c], batched,
+    written into ``out`` (a contiguous n x d*C array) if given."""
     f = np.asarray(f, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     n, d = f.shape
     c = g.shape[1]
-    return (f[:, :, None] * g[:, None, :]).reshape(n, d * c)
+    h = np.empty((n, d * c)) if out is None else out
+    np.multiply(f[:, :, None], g[:, None, :], out=h.reshape(n, d, c))
+    return h
 
 
 def multilinear_map_vjp(f, g, dh):

@@ -5,6 +5,10 @@ together with an explicit tape (the cached activations), and the matching
 backward pass consumes that tape, accumulates parameter gradients in place
 and returns the gradient w.r.t. the input. Batches are row-major 2-D arrays,
 one sample per row.
+
+Each network keeps its parameters in one flat vector and its gradients in
+another: every layer's weights and biases are views into them, so zeroing,
+SGD and the slow-encoder update are a few whole-vector operations.
 """
 
 from __future__ import annotations
@@ -50,11 +54,11 @@ class Dense:
     def forward(self, x):
         return x @ self.w.T + self.b, x
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, out=None):
         x = cache
         self.gw += np.matmul(dy.T, x, out=self._gw_step)
         self.gb += dy.sum(axis=0)
-        return dy @ self.w
+        return np.matmul(dy, self.w, out=out)  # x is read by now: out may be x
 
     def params(self):
         return [self.w, self.b]
@@ -68,9 +72,9 @@ class Tanh:
         y = np.tanh(x)
         return y, y
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, out=None):
         y = cache
-        return dy * (1.0 - y * y)
+        return np.multiply(dy, 1.0 - y * y, out=out)
 
     def params(self):
         return []
@@ -83,9 +87,9 @@ class Relu:
     def forward(self, x):
         return np.maximum(x, 0.0), x
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, out=None):
         x = cache
-        return dy * (x > 0.0)  # subgradient at 0 taken as 0
+        return np.multiply(dy, x > 0.0, out=out)  # subgradient at 0 taken as 0
 
     def params(self):
         return []
@@ -98,12 +102,23 @@ class MLP:
     """A fixed stack of layers with an explicit activation tape.
 
     ``forward`` may be called any number of times before ``backward``; each
-    call returns its own tape, so the same network can process several
-    batches per iteration (source and target) without clobbering caches.
+    call returns its own tape. On construction the layers' parameters are
+    copied into ``flat_params`` and every ``w``/``b``/``gw``/``gb`` becomes a
+    view into ``flat_params``/``flat_grads``, in ``parameters()`` order.
     """
 
     def __init__(self, layers):
         self.layers = list(layers)
+        self.flat_params = np.concatenate([p.ravel() for p in self.parameters()])
+        self.flat_grads = np.zeros_like(self.flat_params)
+        offset = 0
+        for layer in (x for x in self.layers if isinstance(x, Dense)):
+            for name in ("w", "b"):
+                p = getattr(layer, name)
+                span = slice(offset, offset + p.size)
+                setattr(layer, name, self.flat_params[span].reshape(p.shape))
+                setattr(layer, "g" + name, self.flat_grads[span].reshape(p.shape))
+                offset += p.size
 
     def forward(self, x):
         x = as_batch(x)
@@ -113,9 +128,11 @@ class MLP:
             tape.append(cache)
         return x, tape
 
-    def backward(self, tape, dy):
-        for layer, cache in zip(reversed(self.layers), reversed(tape)):
-            dy = layer.backward(cache, dy)
+    def backward(self, tape, dy, out=None):
+        """Input gradient, written into ``out`` if given; ``out`` may be the
+        input itself, which the first layer has read by the time it writes."""
+        for i in range(len(self.layers) - 1, -1, -1):
+            dy = self.layers[i].backward(tape[i], dy, out if i == 0 else None)
         return dy
 
     @property
@@ -142,11 +159,10 @@ class MLP:
         return out
 
     def zero_grads(self):
-        for g in self.gradients():
-            g[...] = 0.0
+        self.flat_grads.fill(0.0)
 
     def clone(self) -> "MLP":
-        return copy.deepcopy(self)
+        return MLP(copy.deepcopy(self.layers))  # re-packed into its own vectors
 
 
 def mlp(sizes, activation, rng, final_activation=None) -> MLP:
@@ -177,6 +193,8 @@ class ModelBundle:
     discriminator: MLP
     momentum: MLP | None = None
     multilinear: bool = True
+    _conditioned: np.ndarray = field(default_factory=lambda: np.empty(0),
+                                     repr=False, compare=False)
 
     @property
     def embed_dim(self) -> int:
@@ -191,11 +209,13 @@ class ModelBundle:
         self.classifier.zero_grads()
         self.discriminator.zero_grads()
 
-    def head_parameters(self):
-        return self.classifier.parameters() + self.discriminator.parameters()
-
-    def head_gradients(self):
-        return self.classifier.gradients() + self.discriminator.gradients()
+    def conditioned_buffer(self, n: int) -> np.ndarray:
+        """A contiguous n x discriminator-width array for the conditioned
+        batch, reused by every step; the storage only grows."""
+        size = n * self.discriminator.n_in
+        if self._conditioned.size < size:
+            self._conditioned = np.empty(size)
+        return self._conditioned[:size].reshape(n, -1)
 
 
 def build_model(

@@ -1,7 +1,8 @@
 """The full training loop.
 
 Each iteration runs one combined forward/backward pass over a source and a
-target mini-batch, assembling
+target mini-batch, stacked into one batch so that every network runs once
+forward and once backward per step, assembling
 
     total = l_sup + lambda_adv * l_adv + lambda_sc * l_sc
 
@@ -41,7 +42,7 @@ MEMORY = "memory"
 BATCH = "batch"
 OFF = "off"
 ALL_COMPONENTS = frozenset({"sup", "adv", "sc"})
-PREDICT_CHUNK = 1024  # rows per network pass in predict()
+PREDICT_CHUNK = 512  # rows per network pass in predict()
 
 
 @dataclass
@@ -204,61 +205,56 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
                      components: frozenset = ALL_COMPONENTS) -> StepOutput:
     """One combined pass; gradients accumulate into the model in place.
 
-    ``sc_active`` enables the consistency branch (the trainer gates it on
-    bootstrap and bank fill). ``components`` restricts which objective terms
-    contribute, which the gradient-check harness uses to isolate one term at
-    a time.
+    Source and target rows are stacked into one batch, so each network runs
+    one forward and one backward; the first ``len(x_source)`` rows of every
+    activation are the source's. ``sc_active`` enables the consistency
+    branch (the trainer gates it on bootstrap and bank fill). ``components``
+    restricts which objective terms contribute, which the gradient-check
+    harness uses to isolate one term at a time.
     """
     if lambda_adv is None:
         lambda_adv = config.lambda_adv
     kind = config.similarity_kind
     model.zero_grads()
 
-    f_s, tape_es = encoder_forward(x_source, model.encoder)
-    f_t, tape_et = encoder_forward(x_target, model.encoder)
-    g_s, _, tape_cs = classifier_forward(f_s, model.classifier)
-    g_t, _, tape_ct = classifier_forward(f_t, model.classifier)
+    xs, xt = as_batch(x_source), as_batch(x_target)
+    if 0 in (len(xs), len(xt)) or xs.shape[1] != xt.shape[1]:
+        raise ConfigurationError(f"source batch {xs.shape} and target batch "
+                                 f"{xt.shape} must be nonempty, equally wide")
+    ns = len(xs)
+    f, tape_e = encoder_forward(np.concatenate([xs, xt]), model.encoder)
+    g, _, tape_c = classifier_forward(f, model.classifier)
+    f_s, f_t, g_t = f[:ns], f[ns:], g[ns:]
 
     report = losses.LossReport()
-    dprobs_s = np.zeros_like(g_s)
-    dprobs_t = np.zeros_like(g_t)
-    df_s = np.zeros_like(f_s)
-    df_t = np.zeros_like(f_t)
+    dprobs = np.zeros_like(g)
+    df = np.zeros_like(f)
 
     if "sup" in components:
-        report.l_sup, dsup = losses.supervised_loss(g_s, y_source)
-        dprobs_s += dsup
+        report.l_sup, dprobs[:ns] = losses.supervised_loss(g[:ns], y_source)
 
     if "adv" in components and lambda_adv > 0:
-        if model.multilinear:
-            h_s = losses.multilinear_map(f_s, g_s)
-            h_t = losses.multilinear_map(f_t, g_t)
-        else:
-            h_s, h_t = f_s, f_t
-        p_s, tape_gs = discriminator_forward(h_s, model.discriminator)
-        p_t, tape_gt = discriminator_forward(h_t, model.discriminator)
-        report.l_d, dps, dpt = losses.discriminator_loss(p_s, p_t)
+        # the conditioned batch lives in the model's resident buffer, which
+        # the discriminator's backward then overwrites with its own gradient
+        h = (losses.multilinear_map(f, g, out=model.conditioned_buffer(len(f)))
+             if model.multilinear else f)
+        p, tape_d = discriminator_forward(h, model.discriminator)
+        report.l_d, dps, dpt = losses.discriminator_loss(p[:ns], p[ns:])
         report.l_adv = -report.l_d
         # discriminator itself minimizes l_d ...
-        dz_s = (dps * p_s * (1.0 - p_s))[:, None]
-        dz_t = (dpt * p_t * (1.0 - p_t))[:, None]
-        dh_s = model.discriminator.backward(tape_gs, dz_s)
-        dh_t = model.discriminator.backward(tape_gt, dz_t)
+        dz = (np.concatenate([dps, dpt]) * p * (1.0 - p))[:, None]
+        dh = model.discriminator.backward(
+            tape_d, dz, out=h if model.multilinear else None)
         # ... while the encoder/classifier side sees the reversed gradient
-        gradient_reversal(dh_s, lambda_adv, out=dh_s)
-        gradient_reversal(dh_t, lambda_adv, out=dh_t)
+        gradient_reversal(dh, lambda_adv, out=dh)
         if model.multilinear:
-            dfa_s, dga_s = losses.multilinear_map_vjp(f_s, g_s, dh_s)
-            dfa_t, dga_t = losses.multilinear_map_vjp(f_t, g_t, dh_t)
+            dfa, dga = losses.multilinear_map_vjp(f, g, dh)
             if config.condition_backprop == "both":
                 # the conditioning vector g also carries adversarial gradient
-                dprobs_s += dga_s
-                dprobs_t += dga_t
-            df_s += dfa_s
-            df_t += dfa_t
+                dprobs += dga
+            df += dfa
         else:
-            df_s += dh_s
-            df_t += dh_t
+            df += dh
 
     consistency = None
     if "sc" in components and sc_active and config.consistency != OFF:
@@ -276,13 +272,11 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
         report.l_sc = consistency.value
         report.skipped_anchors = consistency.skipped
         if config.lambda_sc > 0:
-            df_t += config.lambda_sc * consistency.grad_targets
+            df[ns:] += config.lambda_sc * consistency.grad_targets
 
     # chain classifier gradients (supervised + conditioning path) into features
-    df_s += model.classifier.backward(tape_cs, softmax_vjp(g_s, dprobs_s))
-    df_t += model.classifier.backward(tape_ct, softmax_vjp(g_t, dprobs_t))
-    model.encoder.backward(tape_es, df_s)
-    model.encoder.backward(tape_et, df_t)
+    df += model.classifier.backward(tape_c, softmax_vjp(g, dprobs))
+    model.encoder.backward(tape_e, df)
 
     report.total = losses.total_loss(report.l_sup, report.l_adv, report.l_sc,
                                      lambda_adv, config.lambda_sc)
@@ -314,10 +308,11 @@ def init_state(config: TrainConfig, input_dim: int, num_classes: int) -> Trainer
     bank = (MemoryBank(config.bank_capacity, config.embed_dim,
                        config.similarity_kind)
             if config.consistency == MEMORY else None)
-    opt_encoder = SGD(model.encoder.parameters(), config.sgd_momentum,
+    opt_encoder = SGD([model.encoder.flat_params], config.sgd_momentum,
                       config.weight_decay)
-    opt_heads = SGD(model.head_parameters(), config.sgd_momentum,
-                    config.weight_decay)
+    opt_heads = SGD([model.classifier.flat_params,
+                     model.discriminator.flat_params],
+                    config.sgd_momentum, config.weight_decay)
     return TrainerState(model, bank, opt_encoder, opt_heads)
 
 
@@ -363,8 +358,9 @@ def train_step(state: TrainerState, x_source, y_source, x_target, y_target_eval,
         bank.enqueue(bank_feats, y_source)
 
     lr_enc, lr_heads = lr_schedule(iteration, config)
-    state.opt_encoder.step(model.encoder.gradients(), lr_enc)
-    state.opt_heads.step(model.head_gradients(), lr_heads)
+    state.opt_encoder.step([model.encoder.flat_grads], lr_enc)
+    state.opt_heads.step([model.classifier.flat_grads,
+                          model.discriminator.flat_grads], lr_heads)
     if model.momentum is not None:
         momentum_update(model.momentum, model.encoder, config.mu)
 

@@ -141,6 +141,20 @@ def test_momentum_update_halfway():
         assert np.all(p == 3.0)
 
 
+def test_momentum_update_moves_only_the_slow_copy():
+    fast = build_model(input_dim=3, embed_dim=4, num_classes=2, seed=1).encoder
+    slow = fast.clone()
+    slow.flat_params += 1.0
+    fast_before, slow_before = fast.flat_params.copy(), slow.flat_params.copy()
+    momentum_update(slow, fast, 0.9)
+    assert np.array_equal(fast.flat_params, fast_before)
+    assert np.array_equal(slow.flat_params,
+                          0.9 * slow_before + (1.0 - 0.9) * fast_before)
+    # the per-tensor views see the update
+    assert np.array_equal(np.concatenate([p.ravel() for p in slow.parameters()]),
+                          slow.flat_params)
+
+
 def test_momentum_update_shape_mismatch():
     fast = build_model(input_dim=3, embed_dim=4, num_classes=2, seed=1).encoder
     slow = build_model(input_dim=3, embed_dim=5, num_classes=2, seed=1).encoder

@@ -341,5 +341,9 @@ def test_model_round_trip(tmp_path):
         for a, b in zip(loaded, saved):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()  # bitwise
+        # the loaded values live in the network's flat vector
+        flat = getattr(model, name).flat_params
+        assert all(np.shares_memory(a, flat) for a in loaded)
+        assert flat.tobytes() == getattr(trained, name).flat_params.tobytes()
     x = resolve_datasets(settings)[1].features
     assert np.array_equal(predict(model, x), predict(trained, x))

@@ -35,6 +35,54 @@ def test_identity_layer_forward():
     assert np.array_equal(f, [[1.0, 2.0]])
 
 
+def test_layer_parameters_are_views_into_the_flat_vectors():
+    rng = np.random.default_rng(0)
+    layers = [Dense(3, 4, rng), Dense(4, 2, rng)]
+    before = np.concatenate([p.ravel() for layer in layers for p in layer.params()])
+    net = MLP(layers)
+    assert np.array_equal(net.flat_params, before)  # packing copies the values
+    model = build_model(input_dim=5, embed_dim=4, num_classes=3, seed=0)
+    for net in (model.encoder, model.classifier, model.discriminator):
+        dense = [layer for layer in net.layers if isinstance(layer, Dense)]
+        assert sum(p.size for p in net.parameters()) == net.flat_params.size
+        for layer in dense:
+            assert np.shares_memory(layer.w, net.flat_params)
+            assert np.shares_memory(layer.b, net.flat_params)
+            assert np.shares_memory(layer.gw, net.flat_grads)
+            assert np.shares_memory(layer.gb, net.flat_grads)
+        net.flat_grads[...] = 1.0
+        net.zero_grads()
+        assert all(np.all(g == 0.0) for g in net.gradients())
+
+
+def test_clone_shares_no_memory_with_the_original():
+    encoder = build_model(input_dim=5, embed_dim=4, seed=0).encoder
+    copy = encoder.clone()
+    assert np.array_equal(copy.flat_params, encoder.flat_params)
+    mine = [copy.flat_params, copy.flat_grads, *copy.parameters(), *copy.gradients()]
+    for a in mine:
+        assert not np.shares_memory(a, encoder.flat_params)
+        assert not np.shares_memory(a, encoder.flat_grads)
+    assert all(np.shares_memory(p, copy.flat_params) for p in copy.parameters())
+
+
+def test_backward_into_its_own_input_matches_a_fresh_result():
+    model = build_model(input_dim=5, embed_dim=4, num_classes=3, seed=2)
+    rng = np.random.default_rng(3)
+    h = rng.normal(size=(6, model.discriminator.n_in))
+    dz = rng.normal(size=(6, 1))
+    _, tape = model.discriminator.forward(h)
+    fresh = model.discriminator.backward(tape, dz)
+    grads = [g.copy() for g in model.discriminator.gradients()]
+    model.discriminator.zero_grads()
+    _, tape = model.discriminator.forward(h)
+    dh = model.discriminator.backward(tape, dz, out=h)
+    assert dh is h
+    assert np.array_equal(h, fresh)
+    for a, b in zip(model.discriminator.gradients(), grads):
+        assert np.array_equal(a, b)
+
+
 def test_encoder_matches_straight_line_oracle():
     # re-evaluate the 2-hidden-layer forward pass with explicit matmuls
     model = build_model(input_dim=5, embed_dim=3, num_classes=2,

@@ -11,6 +11,7 @@ from memda.trainer import (
     SGD,
     TrainConfig,
     adv_coefficient,
+    forward_backward,
     init_state,
     lr_schedule,
     predict,
@@ -94,6 +95,21 @@ def test_sgd_rejects_non_finite_gradient():
     opt = SGD([p], momentum=0.0, weight_decay=0.0)
     with pytest.raises(NumericalError):
         opt.step([np.array([np.nan])], lr=0.1)
+
+
+def test_flat_sgd_step_equals_the_per_tensor_step():
+    flat_net, tensor_net = (build_model(input_dim=5, embed_dim=4, seed=3).encoder
+                            for _ in range(2))
+    flat = SGD([flat_net.flat_params], momentum=0.9, weight_decay=5e-4)
+    per_tensor = SGD(tensor_net.parameters(), momentum=0.9, weight_decay=5e-4)
+    rng = np.random.default_rng(0)
+    for lr in (0.03, 0.02, 0.01):
+        grads = rng.normal(size=flat_net.flat_grads.size)
+        flat_net.flat_grads[...] = grads
+        tensor_net.flat_grads[...] = grads
+        flat.step([flat_net.flat_grads], lr)
+        per_tensor.step(tensor_net.gradients(), lr)
+    assert flat_net.flat_params.tobytes() == tensor_net.flat_params.tobytes()
 
 
 def test_adv_ramp_off_by_default():
@@ -269,6 +285,35 @@ def test_feature_mode_detaches_conditioning_from_classifier():
         assert any(np.any(g != 0.0) for g in model.encoder.gradients())
 
 
+@pytest.mark.parametrize("n_source,n_target", [(4, 4), (6, 3)])
+@pytest.mark.parametrize("consistency", ["memory", "batch", "off"])
+@pytest.mark.parametrize("condition_backprop", ["feature", "both"])
+@pytest.mark.parametrize("multilinear", [True, False])
+def test_stacked_pass_matches_the_two_pass_reference(
+        multilinear, condition_backprop, consistency, n_source, n_target):
+    from conftest import tiny_problem, two_pass_forward_backward
+
+    (model, cfg, x_s, y_s, x_t, bank), (ref_model, *_, ref_bank) = (
+        tiny_problem(7, batch=n_source, target_batch=n_target, k=3,
+                     lambda_sc=0.5, consistency=consistency,
+                     multilinear=multilinear,
+                     condition_backprop=condition_backprop)
+        for _ in range(2))
+    report = forward_backward(model, x_s, y_s, x_t, cfg, bank=bank,
+                              sc_active=True).report
+    ref = two_pass_forward_backward(ref_model, x_s, y_s, x_t, cfg,
+                                    bank=ref_bank, sc_active=True)
+    assert (report.l_sc != 0.0) == (consistency != "off")
+    for name in ("l_sup", "l_d", "l_sc", "total"):
+        assert getattr(report, name) == pytest.approx(getattr(ref, name),
+                                                      rel=1e-12, abs=0.0)
+    for net in ("encoder", "classifier", "discriminator"):
+        grads = getattr(model, net).gradients()
+        ref_grads = getattr(ref_model, net).gradients()
+        for a, b in zip(grads, ref_grads):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+
 def test_lambda_sc_zero_with_diagnostics_tracks_scores():
     src, tgt = small_domains()
     cfg = small_config(lambda_sc=0.0, diagnostics="on")
@@ -311,6 +356,39 @@ def test_consistency_step_allocates_little_at_recipe_shapes():
         tracemalloc.stop()
     assert record.l_sc > 0.0  # the consistency branch ran
     assert peak < 3 * 2**20, f"transient peak {peak / 2**20:.2f} MiB"
+
+
+def test_bootstrap_step_allocates_little_at_churn_shapes():
+    # bank-gaussian-churn's shapes: batch 64, 16-d input, 50 classes, a
+    # 512-entry Gaussian bank and a slow encoder; the conditioned batch
+    # (128 x 1600) and its gradient share the model's resident buffer, so a
+    # warmed-up bootstrap step's transient peak stays under 1.5 MiB (fresh
+    # conditioned arrays per domain peak near 4 MiB)
+    cfg = TrainConfig(total_iters=2000, bootstrap_iters=500, lr_encoder=0.03,
+                      lambda_sc=1.0, tau=0.2, similarity="gaussian",
+                      gaussian_sigma=2.0, mu=0.99, batch_size=64,
+                      bank_capacity=512)
+    cfg.validate()
+    rng = np.random.default_rng(0)
+    state = init_state(cfg, 16, 50)
+
+    def step(it):
+        return train_step(state, rng.normal(size=(64, 16)),
+                          rng.integers(0, 50, size=64),
+                          rng.normal(size=(64, 16)),
+                          rng.integers(0, 50, size=64), it, cfg)
+
+    for it in range(3):
+        step(it)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        record = step(3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert record.bank_size == 0 and state.model.momentum is None  # bootstrap
+    assert peak < 1.5 * 2**20, f"transient peak {peak / 2**20:.2f} MiB"
 
 
 def test_chunked_predict_equals_full_batch_pass():
