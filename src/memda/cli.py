@@ -275,25 +275,29 @@ def cmd_ablate(args) -> int:
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not values:
         raise ConfigurationError("value list is empty")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ConfigurationError(f"key 'seeds': {exc}") from exc
+    if not seeds:
+        raise ConfigurationError("key 'seeds': the seed list is empty")
+    grid = []  # every grid point is converted and validated before any run
+    for raw in values:
+        value = _convert(args.axis, raw)
+        grid.append((raw, [{**base, args.axis: value, "seed": s} for s in seeds]))
+        for settings in grid[-1][1]:
+            train_config_from(settings).validate()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for raw in values:
-        value = _convert(args.axis, raw)
+    for raw, runs in grid:
         accs = []
-        for seed in seeds:
-            settings = dict(base)
-            settings[args.axis] = value
-            settings["seed"] = seed
-            config = train_config_from(settings)
-            config.validate()
+        for settings in runs:
             source, target = resolve_datasets(settings)
-            result = run_training(config, source, target)
-            acc = result.evaluation.overall_accuracy
-            accs.append(acc)
-            rows.append((raw, str(seed), acc))
+            result = run_training(train_config_from(settings), source, target)
+            accs.append(result.evaluation.overall_accuracy)
+            rows.append((raw, str(settings["seed"]), accs[-1]))
         rows.append((raw, "median", statistics.median(accs)))
 
     table = outdir / "results.csv"

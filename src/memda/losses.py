@@ -15,11 +15,13 @@ l_sc: gradients flow only to the target anchors. The consistency loss runs
 on a ``similarity.ReferenceSet``: the bank's own set, whose rows were
 prepared once at enqueue in the layout of the bank's kernel (unit rows for
 cosine, raw rows and squared norms otherwise), or a transient set wrapping
-the source batch. Its score matrix and its work matrix are reused by every
+the source batch. Its score, work and mask matrices are reused by every
 call on the set: a ``ConsistencyResult``'s ``sim`` and the ``dsim`` of
 ``consistency_from_similarity`` alias those buffers until the next call on
-the same set, while ``value``, ``grad_targets`` and ``per_anchor`` are the
-caller's own.
+the same set, while ``value``, ``grad_targets``, ``positives`` and
+``per_anchor`` are the caller's own. Each step finds the positive pairs
+once, as flat row-major indices into the score matrix; the loss, its
+gradient and the similarity diagnostics all read them from there.
 """
 
 from __future__ import annotations
@@ -79,13 +81,14 @@ def multilinear_map(f, g, out=None):
     return h
 
 
-def multilinear_map_vjp(f, g, dh):
-    """Backward through the outer product: returns (df, dg)."""
+def multilinear_map_vjp(f, g, dh, need_dg: bool = True):
+    """Backward through the outer product: returns (df, dg), with dg None
+    unless ``need_dg``."""
     n, d = f.shape
     c = g.shape[1]
     dh3 = dh.reshape(n, d, c)
     df = np.einsum("ndc,nc->nd", dh3, g)
-    dg = np.einsum("ndc,nd->nc", dh3, f)
+    dg = np.einsum("ndc,nd->nc", dh3, f) if need_dg else None
     return df, dg
 
 
@@ -107,71 +110,84 @@ def discriminator_loss(p_source, p_target):
     return value, dps, dpt
 
 
+LSE_SPAN = 300.0  # |row max| / tau within which exp(sim / tau) needs no shift
+
+
 @dataclass
 class ConsistencyResult:
+    """One consistency pass; ``positives`` are the ascending flat row-major
+    indices into ``sim`` of the pairs labeled like their anchor."""
+
     value: float
     grad_targets: np.ndarray        # d l_sc / d target features
     assignment: simmod.PseudoLabelAssignment | None
-    positive_mask: np.ndarray       # (n_targets, n_refs) boolean
+    positives: np.ndarray           # read by the diagnostics too
     sim: np.ndarray                 # the scores used; aliases the set's buffer
     per_anchor: np.ndarray          # (n_targets,) individual -log terms
     skipped: int                    # anchors with an empty positive set
 
 
-def consistency_from_similarity(sim, positive_mask, tau: float, work=None):
+def consistency_from_similarity(sim, positives, tau: float, work=None):
     """Core of the consistency loss, in log-sum-exp form.
 
     Per anchor j:  loss_j = LSE(sim_j / tau) - LSE(sim_j[positives] / tau),
-    i.e. -log of the total softmax mass on the positive set. Anchors with no
-    positives contribute 0 and are tallied; anchors whose positive set covers
-    every reference contribute exactly 0.0. Returns
-    (value, dsim, per_anchor, skipped). The pass runs in ``work``, a
-    C-contiguous array shaped like ``sim`` (fresh when None), which comes
-    back as ``dsim``.
+    i.e. -log of the total softmax mass on the positive set. ``positives``
+    is an n x m boolean mask or the ascending flat row-major indices of its
+    True entries. Anchors with no positives contribute 0 and are tallied;
+    anchors whose positive set covers every reference contribute exactly
+    0.0, and so does their gradient row. Returns
+    (value, dsim, per_anchor, skipped).
+
+    The n x m passes: a row max of ``sim``, ``exp(sim * (1/tau))`` into
+    ``work``, a row sum, and one per-row scale folding the softmax
+    normalisation, 1/(tau n) and the zeroing of inactive anchors; the
+    positive term is scattered through the flat indices. A row whose max
+    lies within +-LSE_SPAN * tau of 0 needs no shift (its largest term lies
+    in [e^-300, e^300]); any other row (Euclidean scores far from every
+    reference, a tiny tau) is shifted by its max in an extra pass. The
+    gathered positives are always shifted by their max. ``work``, a
+    C-contiguous array shaped like ``sim`` (fresh when None), comes back as
+    ``dsim``.
     """
     if not tau > 0:
         raise ConfigurationError("temperature must be > 0")
     if work is not None and not work.flags.c_contiguous:
         raise ConfigurationError("the work array must be C-contiguous")
     sim = np.asarray(sim, dtype=np.float64)
-    pos = np.asarray(positive_mask, dtype=bool)
     n, m = sim.shape
-
-    # positives are sparse (a batch rarely covers many bank classes), so the
-    # positive-side sums run on entries gathered by flat index, in row-major
-    # order; the dense buffer is reused in place to keep full-matrix passes
-    # to a minimum
-    flat = np.flatnonzero(pos)
+    pos = np.asarray(positives)
+    flat = np.flatnonzero(pos) if pos.dtype == bool else pos
     rows = flat // m
-    work = np.divide(sim, tau, out=work)
-    work_flat = work.reshape(-1)  # a view of the contiguous buffer
-    s_vals = work_flat[flat]
     counts = np.bincount(rows, minlength=n)
     has_pos = counts > 0
-    full = counts == m  # every reference positive: the term is exactly 0
-    skipped = int(n - has_pos.sum())
+    active = has_pos & (counts < m)  # anchors whose term is not identically 0
+    skipped = int(n - np.count_nonzero(has_pos))
 
-    m_all = work.max(axis=1)
-    np.subtract(work, m_all[:, None], out=work)
-    np.exp(work, out=work)  # work is now exp(s - max) rowwise
+    inv_tau = 1.0 / tau
+    shift = sim.max(axis=1) * inv_tau
+    shift[np.abs(shift) <= LSE_SPAN] = 0.0
+    work = np.multiply(sim, inv_tau, out=work)
+    if shift.any():
+        np.subtract(work, shift[:, None], out=work)
+    np.exp(work, out=work)
     sum_all = work.sum(axis=1)
-    lse_all = m_all + np.log(sum_all)
 
+    s_vals = sim.ravel()[flat] * inv_tau
     m_pos = np.zeros(n)
-    if rows.size:
-        starts = (np.cumsum(counts) - counts)[has_pos]
-        m_pos[has_pos] = np.maximum.reduceat(s_vals, starts)
+    if flat.size:
+        m_pos[has_pos] = np.maximum.reduceat(
+            s_vals, (np.cumsum(counts) - counts)[has_pos])
     e_vals = np.exp(s_vals - m_pos[rows])
     sum_pos = np.bincount(rows, weights=e_vals, minlength=n)
-    sum_pos_safe = np.where(has_pos, sum_pos, 1.0)
-    lse_pos = m_pos + np.log(sum_pos_safe)
 
-    per_anchor = np.where(full, 0.0, np.where(has_pos, lse_all - lse_pos, 0.0))
+    lse_all = shift + np.log(sum_all)
+    per_anchor = np.zeros(n)
+    per_anchor[active] = lse_all[active] - (m_pos[active]
+                                            + np.log(sum_pos[active]))
 
-    np.divide(work, sum_all[:, None], out=work)  # softmax over all references
-    work_flat[flat] -= e_vals / sum_pos_safe[rows]
-    work /= tau * n
-    work[~has_pos] = 0.0
+    coef = np.where(active, 1.0 / (tau * n), 0.0)
+    np.multiply(work, (coef / sum_all)[:, None], out=work)
+    work.reshape(-1)[flat] -= e_vals * (coef[rows] / sum_pos[rows])
     return float(per_anchor.sum() / n), work, per_anchor, skipped
 
 
@@ -179,17 +195,20 @@ def _consistency(targets, references, ref_labels, tau, k, kind, num_classes,
                  pseudo_labels=None) -> ConsistencyResult:
     refs = simmod.reference_set(references, kind)
     sim = simmod.pairwise_similarity(targets, refs, kind)
+    _, work, mask = refs.buffers(sim.shape[0])
     assignment = None
     if pseudo_labels is None:
-        assignment = simmod.assign_pseudo_labels(sim, ref_labels, k, num_classes)
+        assignment = simmod.assign_pseudo_labels(sim, ref_labels, k,
+                                                 num_classes, scratch=mask)
         pseudo_labels = assignment.labels
-    pos = np.asarray(ref_labels)[None, :] == np.asarray(pseudo_labels)[:, None]
-    _, work = refs.buffers(sim.shape[0])
+    np.equal(np.asarray(ref_labels)[None, :],
+             np.asarray(pseudo_labels)[:, None], out=mask)
+    positives = np.flatnonzero(mask)
     value, dsim, per_anchor, skipped = consistency_from_similarity(
-        sim, pos, tau, work=work)
+        sim, positives, tau, work=work)
     grad = simmod.pairwise_similarity_vjp(targets, refs, kind, dsim, sim=sim)
-    return ConsistencyResult(value, grad, assignment, pos, sim, per_anchor,
-                             skipped)
+    return ConsistencyResult(value, grad, assignment, positives, sim,
+                             per_anchor, skipped)
 
 
 def sample_consistency_batch(targets, source_feats, source_labels, tau: float,

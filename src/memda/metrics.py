@@ -44,19 +44,23 @@ def macro_accuracy(per_class: np.ndarray) -> float:
     return float(per_class[present].mean()) if present.any() else float("nan")
 
 
-def mean_similarity_both(sim: np.ndarray, positive_mask: np.ndarray):
-    """(averaged, literal) anchor-to-positive similarity, in one pass.
+def mean_similarity_both(sim: np.ndarray, positives: np.ndarray):
+    """(averaged, literal) anchor-to-positive similarity.
 
-    averaged: per-anchor mean over positives, then mean over anchors (bounded
-    diagnostic); literal: per-anchor sum over positives, then mean over
-    anchors. Anchors without positives are excluded; (0.0, 0.0) if none
+    ``positives`` holds the flat row-major indices into ``sim`` of the
+    positive pairs (``ConsistencyResult.positives``); only those entries are
+    read. averaged: per-anchor mean over positives, then mean over anchors
+    (bounded diagnostic); literal: per-anchor sum over positives, then mean
+    over anchors. Anchors without positives are excluded; (0.0, 0.0) if none
     remain.
     """
-    counts = positive_mask.sum(axis=1)
+    n, m = sim.shape
+    rows = positives // m
+    counts = np.bincount(rows, minlength=n)
     keep = counts > 0
     if not keep.any():
         return 0.0, 0.0
-    sums = np.where(positive_mask, sim, 0.0).sum(axis=1)[keep]
+    sums = np.bincount(rows, weights=sim.ravel()[positives], minlength=n)[keep]
     return float((sums / counts[keep]).mean()), float(sums.mean())
 
 

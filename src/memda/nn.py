@@ -2,9 +2,9 @@
 
 Everything is float64 and deterministic: a forward pass returns the output
 together with an explicit tape (the cached activations), and the matching
-backward pass consumes that tape, accumulates parameter gradients in place
-and returns the gradient w.r.t. the input. Batches are row-major 2-D arrays,
-one sample per row.
+backward pass consumes that tape, overwrites the parameter gradients in
+place and returns the gradient w.r.t. the input. Batches are row-major 2-D
+arrays, one sample per row.
 
 Each network keeps its parameters in one flat vector and its gradients in
 another: every layer's weights and biases are views into them, so zeroing,
@@ -34,14 +34,13 @@ def as_batch(x) -> np.ndarray:
 
 
 class Dense:
-    """Affine layer y = x @ W.T + b with gradient accumulation."""
+    """Affine layer y = x @ W.T + b; ``backward`` overwrites its gradients."""
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         self.w = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_out, n_in))
         self.b = np.zeros(n_out)
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
-        self._gw_step = np.empty_like(self.w)  # one backward's dy.T @ x
 
     @property
     def n_in(self) -> int:
@@ -56,8 +55,8 @@ class Dense:
 
     def backward(self, cache, dy, out=None):
         x = cache
-        self.gw += np.matmul(dy.T, x, out=self._gw_step)
-        self.gb += dy.sum(axis=0)
+        np.matmul(dy.T, x, out=self.gw)
+        np.sum(dy, axis=0, out=self.gb)
         return np.matmul(dy, self.w, out=out)  # x is read by now: out may be x
 
     def params(self):
@@ -130,7 +129,8 @@ class MLP:
 
     def backward(self, tape, dy, out=None):
         """Input gradient, written into ``out`` if given; ``out`` may be the
-        input itself, which the first layer has read by the time it writes."""
+        input itself, which the first layer has read by the time it writes.
+        Every parameter gradient is overwritten with this call's."""
         for i in range(len(self.layers) - 1, -1, -1):
             dy = self.layers[i].backward(tape[i], dy, out if i == 0 else None)
         return dy
@@ -203,11 +203,6 @@ class ModelBundle:
     @property
     def num_classes(self) -> int:
         return self.classifier.n_out
-
-    def zero_grads(self):
-        self.encoder.zero_grads()
-        self.classifier.zero_grads()
-        self.discriminator.zero_grads()
 
     def conditioned_buffer(self, n: int) -> np.ndarray:
         """A contiguous n x discriminator-width array for the conditioned

@@ -66,10 +66,11 @@ class ReferenceSet:
     enqueue; other reference rows (the source batch, a plain array) are
     wrapped in a transient set per call.
 
-    The set owns one score matrix and one work matrix of n x len(self)
-    entries, reused by every call on it: the scores ``pairwise_similarity``
-    returns and the work ``pairwise_similarity_vjp`` and the consistency loss
-    write alias these buffers and stay valid until the next call on the set.
+    The set owns a score matrix, a work matrix and a boolean mask matrix of
+    n x len(self) entries, reused by every call on it: the scores
+    ``pairwise_similarity`` returns, the work the kernels and the consistency
+    loss write and the candidate and positive masks alias these buffers and
+    stay valid until the next call on the set.
     """
 
     def __init__(self, unit: bool, rows: np.ndarray, norms: np.ndarray):
@@ -77,20 +78,24 @@ class ReferenceSet:
         self.rows = rows
         self.norms = norms
         self._flat = None  # (2, size): flat score and work storage
+        self._mask = None  # (size,): flat mask storage
 
     def __len__(self) -> int:
         return self.rows.shape[0]
 
     def buffers(self, n: int):
-        """(score, work): two contiguous n x len(self) matrices.
+        """(score, work, mask): contiguous n x len(self) matrices, the first
+        two of floats, the last of bools.
 
         The storage only grows, so once a bank is full every call reuses it.
         """
         size = n * len(self)
         if self._flat is None or self._flat.shape[1] < size:
             self._flat = np.empty((2, size))
-        shape = (n, len(self))
-        return self._flat[0, :size].reshape(shape), self._flat[1, :size].reshape(shape)
+            self._mask = np.empty(size, dtype=bool)
+        flat, shape = self._flat[:, :size], (n, len(self))
+        mask = self._mask[:size].reshape(shape)
+        return flat[0].reshape(shape), flat[1].reshape(shape), mask
 
 
 def reference_set(references, kind: SimilarityKind) -> ReferenceSet:
@@ -120,7 +125,7 @@ def pairwise_similarity(targets, references, kind: SimilarityKind) -> np.ndarray
     if t.shape[1] != refs.rows.shape[1]:
         raise ConfigurationError(
             f"widths differ: {t.shape[1]} vs {refs.rows.shape[1]}")
-    score, work = refs.buffers(t.shape[0])
+    score, work, _ = refs.buffers(t.shape[0])
     if refs.unit:
         tn = _check_norms(t, "target")
         return np.matmul(t / tn[:, None], refs.rows.T, out=score)
@@ -150,29 +155,28 @@ def pairwise_similarity_vjp(targets, references, kind: SimilarityKind,
 
     References are constants (bank entries or detached source features), so
     no gradient is returned for them. Pass the score matrix already computed
-    on the same set as ``sim`` to skip recomputing it. The set's work buffer
-    receives the upstream-weighted scores; ``upstream`` may be that buffer
-    itself (when ``sim`` is given) and is then overwritten. The returned
-    gradient is a fresh array.
+    on the same set as ``sim`` to skip recomputing it. For the Gaussian
+    kernel the set's work buffer receives the upstream-weighted scores;
+    ``upstream`` may be that buffer itself (when ``sim`` is given) and is
+    then overwritten. The returned gradient is a fresh array.
     """
     t = np.asarray(targets, dtype=np.float64)
     refs = reference_set(references, kind)
     up = np.asarray(upstream, dtype=np.float64)
     phi = sim if sim is not None else pairwise_similarity(t, refs, kind)
-    _, work = refs.buffers(t.shape[0])
     if refs.unit:
         tn = _check_norms(t, "target")
         that = t / tn[:, None]
         # d phi_i / dt = (rhat_i - phi_i * that) / |t|
         grad = up @ refs.rows
-        np.multiply(up, phi, out=work)
-        grad -= work.sum(axis=1, keepdims=True) * that
+        grad -= np.einsum("ij,ij->i", up, phi)[:, None] * that
         grad /= tn[:, None]
         return grad
     if kind.name == EUCLIDEAN:
         d = -phi
         coef = np.where(d > ZERO_NORM_TOL, up / np.maximum(d, ZERO_NORM_TOL), 0.0)
     else:
+        _, work, _ = refs.buffers(t.shape[0])
         coef = np.multiply(up, phi, out=work)
         coef /= kind.sigma**2
     # sum_i coef_ji * (r_i - t_j)
@@ -192,9 +196,10 @@ KNN_GROUPS = 64  # column groups whose maxima bound each row's k-th score
 
 
 def assign_pseudo_labels(sim: np.ndarray, ref_labels, k: int,
-                         num_classes: int) -> PseudoLabelAssignment:
+                         num_classes: int, scratch=None) -> PseudoLabelAssignment:
     """Majority vote among the k most similar references, for every row of
-    a similarity matrix.
+    a similarity matrix; ``scratch``, a boolean array shaped like ``sim``,
+    receives the candidate mask (fresh when None).
 
     Ties in similarity resolve to the smallest reference position; ties in
     the vote resolve by largest cumulative similarity, then smallest class.
@@ -218,7 +223,8 @@ def assign_pseudo_labels(sim: np.ndarray, ref_labels, k: int,
     g = min(m, max(KNN_GROUPS, k))
     gmax = sim[:, :m - m % g].reshape(n, m // g, g).max(axis=1)
     thr = np.partition(gmax, g - k, axis=1)[:, g - k]
-    rows, cols = np.divmod(np.flatnonzero(sim >= thr[:, None]), m)
+    cand = np.greater_equal(sim, thr[:, None], out=scratch)
+    rows, cols = np.divmod(np.flatnonzero(cand), m)
     vals = sim[rows, cols]
     # candidates come in (row, position) order and lexsort is stable, so
     # sorting by (row, -score) keeps the smallest positions first among ties

@@ -203,7 +203,7 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
                      config: TrainConfig, bank: MemoryBank | None = None,
                      sc_active: bool = False, lambda_adv: float | None = None,
                      components: frozenset = ALL_COMPONENTS) -> StepOutput:
-    """One combined pass; gradients accumulate into the model in place.
+    """One combined pass; each network's gradient is written in place.
 
     Source and target rows are stacked into one batch, so each network runs
     one forward and one backward; the first ``len(x_source)`` rows of every
@@ -215,7 +215,9 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
     if lambda_adv is None:
         lambda_adv = config.lambda_adv
     kind = config.similarity_kind
-    model.zero_grads()
+    adversarial = "adv" in components and lambda_adv > 0
+    if not adversarial:  # the discriminator's backward will not write
+        model.discriminator.zero_grads()
 
     xs, xt = as_batch(x_source), as_batch(x_target)
     if 0 in (len(xs), len(xt)) or xs.shape[1] != xt.shape[1]:
@@ -233,7 +235,7 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
     if "sup" in components:
         report.l_sup, dprobs[:ns] = losses.supervised_loss(g[:ns], y_source)
 
-    if "adv" in components and lambda_adv > 0:
+    if adversarial:
         # the conditioned batch lives in the model's resident buffer, which
         # the discriminator's backward then overwrites with its own gradient
         h = (losses.multilinear_map(f, g, out=model.conditioned_buffer(len(f)))
@@ -248,9 +250,10 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
         # ... while the encoder/classifier side sees the reversed gradient
         gradient_reversal(dh, lambda_adv, out=dh)
         if model.multilinear:
-            dfa, dga = losses.multilinear_map_vjp(f, g, dh)
-            if config.condition_backprop == "both":
-                # the conditioning vector g also carries adversarial gradient
+            # with "both" the conditioning vector g carries gradient too
+            both = config.condition_backprop == "both"
+            dfa, dga = losses.multilinear_map_vjp(f, g, dh, need_dg=both)
+            if both:
                 dprobs += dga
             df += dfa
         else:
@@ -368,7 +371,7 @@ def train_step(state: TrainerState, x_source, y_source, x_target, y_target_eval,
     if diag and out.consistency is not None:
         cons = out.consistency
         mean_avg, mean_lit = metrics.mean_similarity_both(
-            cons.sim, cons.positive_mask)
+            cons.sim, cons.positives)
         if y_target_eval is not None:
             pseudo = (cons.assignment.labels if cons.assignment is not None
                       else np.argmax(out.g_target, axis=1))

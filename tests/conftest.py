@@ -58,10 +58,12 @@ def two_pass_forward_backward(model, x_source, y_source, x_target, config,
     """Reference for ``trainer.forward_backward``: every network runs once
     on the source batch and once on the target batch, forward and backward,
     and the domains' gradients are kept apart until the parameters sum them.
-    Returns the loss report."""
+    Each backward overwrites its network's gradients, so the harness adds
+    the two calls' gradients itself. Returns the loss report."""
     if lambda_adv is None:
         lambda_adv = config.lambda_adv
-    model.zero_grads()
+    for net in (model.encoder, model.classifier, model.discriminator):
+        net.zero_grads()  # a network that runs no backward steps with zeros
     f_s, tape_es = encoder_forward(x_source, model.encoder)
     f_t, tape_et = encoder_forward(x_target, model.encoder)
     g_s, _, tape_cs = classifier_forward(f_s, model.classifier)
@@ -83,9 +85,8 @@ def two_pass_forward_backward(model, x_source, y_source, x_target, config,
         p_t, tape_gt = discriminator_forward(h_t, model.discriminator)
         report.l_d, dps, dpt = losses.discriminator_loss(p_s, p_t)
         report.l_adv = -report.l_d
-        dh_s = model.discriminator.backward(
-            tape_gs, (dps * p_s * (1.0 - p_s))[:, None])
-        dh_t = model.discriminator.backward(
+        dh_s, dh_t = summed_backward(
+            model.discriminator, tape_gs, (dps * p_s * (1.0 - p_s))[:, None],
             tape_gt, (dpt * p_t * (1.0 - p_t))[:, None])
         gradient_reversal(dh_s, lambda_adv, out=dh_s)
         gradient_reversal(dh_t, lambda_adv, out=dh_t)
@@ -115,13 +116,25 @@ def two_pass_forward_backward(model, x_source, y_source, x_target, config,
         report.l_sc = cons.value
         if config.lambda_sc > 0:
             df_t += config.lambda_sc * cons.grad_targets
-    df_s += model.classifier.backward(tape_cs, softmax_vjp(g_s, dprobs_s))
-    df_t += model.classifier.backward(tape_ct, softmax_vjp(g_t, dprobs_t))
-    model.encoder.backward(tape_es, df_s)
-    model.encoder.backward(tape_et, df_t)
+    dc_s, dc_t = summed_backward(model.classifier,
+                                 tape_cs, softmax_vjp(g_s, dprobs_s),
+                                 tape_ct, softmax_vjp(g_t, dprobs_t))
+    df_s += dc_s
+    df_t += dc_t
+    summed_backward(model.encoder, tape_es, df_s, tape_et, df_t)
     report.total = losses.total_loss(report.l_sup, report.l_adv, report.l_sc,
                                      lambda_adv, config.lambda_sc)
     return report
+
+
+def summed_backward(net, tape_a, dy_a, tape_b, dy_b):
+    """Two backward calls through ``net``, leaving the sum of their
+    parameter gradients; returns both input gradients."""
+    dx_a = net.backward(tape_a, dy_a)
+    first = net.flat_grads.copy()
+    dx_b = net.backward(tape_b, dy_b)
+    net.flat_grads += first
+    return dx_a, dx_b
 
 
 def tiny_problem(seed, *, input_dim=6, embed_dim=8, num_classes=5, batch=4,

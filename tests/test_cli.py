@@ -274,6 +274,25 @@ def test_ablate_unknown_axis(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("axis,values,seeds,key", [
+    ("tau", "0.07", "0,x", "seeds"),
+    ("tau", "0.07", ",", "seeds"),
+    ("bank_capacity", "32,64,x", "0", "bank_capacity"),
+    ("tau", "0.07,0.5,-1", "0", "tau"),
+])
+def test_ablate_rejects_a_bad_grid_before_any_run(tmp_path, capsys, monkeypatch,
+                                                  axis, values, seeds, key):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started before the grid was checked")
+
+    monkeypatch.setattr(memda.cli, "run_training", refuse)
+    rc = main(["ablate", "--outdir", str(tmp_path / "s"), "--axis", axis,
+               "--values", values, "--seeds", seeds] + tiny_flags())
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_single_value_sweep_matches_train(tmp_path):
     outdir = tmp_path / "one"
     rc = main(["ablate", "--outdir", str(outdir),

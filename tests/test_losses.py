@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import component_closure, naive_consistency, tiny_problem
 from memda.bank import MemoryBank
 from memda.errors import ConfigurationError, GatingError
 from memda.losses import (
+    LSE_SPAN,
     consistency_from_similarity,
     discriminator_loss,
     multilinear_map,
@@ -175,7 +178,9 @@ def test_two_entry_instance_is_softplus():
     for tau in (1.0, 0.5):
         res = sample_consistency_memory(targets, bank, tau, COS, k=1, num_classes=2)
         # verify with the direct-summation oracle first, then the closed form
-        oracle = naive_consistency(res.sim, res.positive_mask, tau)
+        mask = np.zeros(res.sim.size, dtype=bool)
+        mask[res.positives] = True
+        oracle = naive_consistency(res.sim, mask.reshape(res.sim.shape), tau)
         assert res.value == pytest.approx(oracle, abs=1e-12)
         assert res.value == pytest.approx(np.log1p(np.exp(-1.0 / tau)), abs=1e-9)
     res1 = sample_consistency_memory(targets, bank, 1.0, COS, 1, 2)
@@ -205,6 +210,58 @@ def test_lse_matches_naive_oracle_on_random_instances():
         value, _, per_anchor, skipped = consistency_from_similarity(sim, pos, tau)
         assert value == pytest.approx(naive_consistency(sim, pos, tau), abs=1e-10)
         assert skipped == int(sum(1 for j in range(n_t) if not pos[j].any()))
+
+
+def shifted_fsum_consistency(sim, pos_mask, tau):
+    """Oracle: each row shifted by its own max, sums by math.fsum."""
+    terms = []
+    for row, mask in zip(sim.tolist(), pos_mask.tolist()):
+        if not any(mask) or all(mask):
+            terms.append(0.0)
+            continue
+        z = [s / tau for s in row]
+        zp = [v for v, p in zip(z, mask) if p]
+        lse = [top + math.log(math.fsum(math.exp(v - top) for v in vals))
+               for vals in (z, zp) for top in [max(vals)]]
+        terms.append(lse[0] - lse[1])
+    return math.fsum(terms) / len(terms)
+
+
+def cosine_rows(rng, n, m):
+    return rng.uniform(-1.0, 1.0, size=(n, m))
+
+
+def far_euclidean_rows(rng, n, m):
+    # negated distances, each row offset by up to 1000 from every reference
+    return -(rng.uniform(0.0, 5.0, size=(n, m))
+             + rng.uniform(0.0, 1000.0, size=(n, 1)))
+
+
+@pytest.mark.parametrize("make,tau", [
+    (cosine_rows, 1e-3), (cosine_rows, 1e-4), (far_euclidean_rows, 0.2),
+    ("mixed", 0.2),
+])
+def test_rows_outside_the_span_match_a_shifted_fsum_oracle(make, tau):
+    rng = np.random.default_rng(5)
+    n, m = 12, 40
+    if make == "mixed":
+        sim = cosine_rows(rng, n, m)
+        sim[::2] = far_euclidean_rows(rng, n, m)[::2]
+    else:
+        sim = make(rng, n, m)
+    pos = rng.uniform(size=(n, m)) < 0.3
+    pos[0] = True   # every reference positive
+    pos[1] = False  # no positive
+    outside = np.abs(sim.max(axis=1)) / tau > LSE_SPAN
+    assert outside.any() and (make != "mixed" or not outside.all())
+    value, dsim, per_anchor, skipped = consistency_from_similarity(sim, pos, tau)
+    oracle = shifted_fsum_consistency(sim, pos, tau)
+    assert abs(value - oracle) <= 1e-11 * abs(oracle)
+    assert np.all(np.isfinite(dsim)) and np.all(np.isfinite(per_anchor))
+    assert per_anchor[0] == 0.0 and np.all(dsim[0] == 0.0)
+    assert skipped == 1 and np.all(dsim[1] == 0.0)
+    by_index = consistency_from_similarity(sim, np.flatnonzero(pos), tau)
+    assert by_index[0] == value and np.array_equal(by_index[1], dsim)
 
 
 def test_empty_positive_anchor_is_skipped_with_zero_loss():

@@ -46,12 +46,14 @@ def test_macro_average_on_balanced_sets_equals_accuracy():
 
 def test_mean_similarity_modes():
     # (averaged, literal): mean vs sum over each anchor's positives
+    # positives come as flat row-major indices into sim
     sim = np.array([[0.8, -0.5]])
-    pos = np.array([[True, False]])
-    assert mean_similarity_both(sim, pos) == pytest.approx((0.8, 0.8))
+    assert mean_similarity_both(sim, np.array([0])) == pytest.approx((0.8, 0.8))
     sim = np.array([[0.5, 0.7, 0.0]])
-    pos = np.array([[True, True, False]])
-    assert mean_similarity_both(sim, pos) == pytest.approx((0.6, 1.2))
+    assert mean_similarity_both(sim, np.array([0, 1])) == pytest.approx((0.6, 1.2))
+    sim = np.array([[0.5, 0.7, 0.0], [0.1, 0.2, 0.3]])
+    assert mean_similarity_both(sim, np.array([1, 3, 5])) == pytest.approx(
+        ((0.7 + 0.2) / 2, (0.7 + 0.4) / 2))
 
 
 def test_mean_similarity_all_identical_anchors():
@@ -61,15 +63,14 @@ def test_mean_similarity_all_identical_anchors():
     sim = pairwise_similarity(targets, bank.references, COS)
     assignment = assign_pseudo_labels(sim, bank.labels(), 1, 2)
     pos = bank.labels()[None, :] == assignment.labels[:, None]
-    averaged, _ = mean_similarity_both(sim, pos)
+    averaged, _ = mean_similarity_both(sim, np.flatnonzero(pos))
     assert averaged == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mean_similarity_excludes_empty_anchors():
     sim = np.array([[0.9, 0.9], [0.1, 0.1]])
-    pos = np.array([[True, False], [False, False]])
-    assert mean_similarity_both(sim, pos)[0] == pytest.approx(0.9)
-    none = np.zeros((2, 2), dtype=bool)
+    assert mean_similarity_both(sim, np.array([0]))[0] == pytest.approx(0.9)
+    none = np.array([], dtype=np.int64)
     assert mean_similarity_both(sim, none) == (0.0, 0.0)
 
 
@@ -77,7 +78,7 @@ def test_averaged_mode_bounded_for_cosine():
     rng = np.random.default_rng(1)
     sim = np.clip(rng.normal(size=(6, 30)), -1.0, 1.0)
     pos = rng.uniform(size=(6, 30)) < 0.3
-    v, _ = mean_similarity_both(sim, pos)
+    v, _ = mean_similarity_both(sim, np.flatnonzero(pos))
     assert -1.0 <= v <= 1.0
 
 

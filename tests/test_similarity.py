@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from memda.similarity import (
     COSINE,
     EUCLIDEAN,
     GAUSSIAN,
+    ReferenceSet,
     SimilarityKind,
     assign_pseudo_labels,
     pairwise_similarity,
@@ -221,6 +224,28 @@ def test_assign_matches_per_row_op():
         assert batch.labels[j] == want_label
         assert list(batch.neighbors[j]) == want_nbrs
         assert list(batch.votes[j]) == list(np.bincount(labels[want_nbrs], minlength=4))
+
+
+def test_knn_candidate_mask_goes_to_the_sets_scratch():
+    # recipe shapes: 32 anchors against a 4096-entry bank of 50 classes; a
+    # fresh 32 x 4096 candidate mask alone would take 128 KiB
+    rng = np.random.default_rng(8)
+    refs = ReferenceSet(True, np.eye(4096, 8), np.ones(4096))
+    score, _, mask = refs.buffers(32)
+    score[...] = rng.uniform(-1.0, 1.0, size=score.shape)
+    labels = rng.integers(0, 50, size=4096)
+    fresh = assign_pseudo_labels(score, labels, 5, 50)
+    assign_pseudo_labels(score, labels, 5, 50, scratch=mask)  # warm-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reused = assign_pseudo_labels(score, labels, 5, 50, scratch=mask)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(reused.labels, fresh.labels)
+    assert np.array_equal(reused.neighbors, fresh.neighbors)
+    assert peak < 128 * 2**10, f"transient peak {peak / 2**10:.1f} KiB"
 
 
 @settings(max_examples=150, deadline=None)
