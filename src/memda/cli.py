@@ -29,6 +29,7 @@ from .datasets import (
     TARGET,
     ShiftSpec,
     apply_domain_shift,
+    check_mixture,
     gen_gaussian_mixture,
     load_feature_table,
     save_feature_table,
@@ -55,6 +56,7 @@ DATA_DEFAULTS = {
     "target_table": "",
 }
 
+MIXTURE_KEYS = ("classes", "input_dim", "per_class", "class_spread", "within_std")
 TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
 ALL_DEFAULTS = {**TRAIN_DEFAULTS, **DATA_DEFAULTS}
 
@@ -130,12 +132,9 @@ def _generate_datasets(settings: dict):
     dseed = settings["data_seed"]
     if dseed < 0:
         dseed = settings["seed"]
-    source = gen_gaussian_mixture(
-        settings["classes"], settings["input_dim"], settings["per_class"],
-        settings["class_spread"], settings["within_std"], seed=dseed)
-    base = gen_gaussian_mixture(
-        settings["classes"], settings["input_dim"], settings["per_class"],
-        settings["class_spread"], settings["within_std"], seed=dseed + 1)
+    mixture = [settings[k] for k in MIXTURE_KEYS]
+    source = gen_gaussian_mixture(*mixture, seed=dseed)
+    base = gen_gaussian_mixture(*mixture, seed=dseed + 1)
     shift = ShiftSpec.from_degrees(settings["rotation_deg"],
                                    noise=settings["shift_noise"],
                                    seed=dseed + 2)
@@ -287,6 +286,8 @@ def cmd_ablate(args) -> int:
         grid.append((raw, [{**base, args.axis: value, "seed": s} for s in seeds]))
         for settings in grid[-1][1]:
             train_config_from(settings).validate()
+            if not (settings["source_table"] or settings["target_table"]):
+                check_mixture(*(settings[k] for k in MIXTURE_KEYS))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -8,15 +8,18 @@ function is carried over unchanged.
 Target labels exist for evaluation only. ``DomainDataset.train_labels``
 raises on a target-tagged dataset; the trainer's loss path uses that
 accessor, evaluation code uses ``eval_labels``.
+
+Class means go through ``ndtri``, a port of Cephes' inverse normal CDF (the
+one scipy ships); a test pins it bitwise to ``scipy.special.ndtri``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigurationError, DataFormatError
 
@@ -88,26 +91,83 @@ def _primes(count: int) -> list[int]:
     return primes
 
 
+# Cephes ndtri: a rational function of y - 1/2 in the centre, of 1/x with
+# x = sqrt(-2 log y) in the tails. Highest power first; the Q polynomials'
+# leading 1 (implicit in Cephes' p1evl) is written out, and 1.0 * x is exact.
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242E0  # sqrt(2 pi)
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _polevl(x, coef):
+    ans = coef[0]  # Horner form
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def ndtri(p) -> np.ndarray:
+    """Inverse standard normal CDF on (0, 1), elementwise, with Cephes'
+    operation order; tail logs and square roots round as libm's."""
+    p = np.asarray(p, dtype=np.float64)
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)
+    out = np.empty_like(y)
+    mid = y > _EXP_M2
+    ym = y[mid] - 0.5
+    y2 = ym * ym
+    out[mid] = (ym + ym * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    x = np.array([math.sqrt(-2.0 * math.log(v)) for v in y[~mid].tolist()])
+    x0 = x - np.array([math.log(v) for v in x.tolist()]) / x
+    z = 1.0 / x
+    x1 = np.where(x < 8.0, z * _polevl(z, _P1) / _polevl(z, _Q1),
+                  z * _polevl(z, _P2) / _polevl(z, _Q2))
+    out[~mid] = np.where(upper[~mid], x0 - x1, x1 - x0)
+    return out
+
+
 def mixture_means(num_classes: int, dim: int, spread: float) -> np.ndarray:
     """Deterministic class centres: low-discrepancy points pushed to the
     sphere of radius ``spread`` (Halton sequence through the inverse normal
-    CDF, then normalized)."""
+    CDF, the Cephes ``ndtri`` port above, then normalized)."""
     cols = [_halton_column(num_classes, b) for b in _primes(dim)]
     z = ndtri(np.stack(cols, axis=1))
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     return spread * z / norms
 
 
-def gen_gaussian_mixture(num_classes: int, dim: int, n_per_class: int,
-                         class_spread: float, within_class_std: float,
-                         seed: int) -> DomainDataset:
-    """Isotropic Gaussian blobs around deterministically placed class means."""
+def check_mixture(num_classes: int, dim: int, n_per_class: int,
+                  class_spread: float, within_class_std: float) -> None:
+    """Raise ``ConfigurationError`` for settings no mixture can be drawn from."""
     if num_classes < 2 or dim < 2:
         raise ConfigurationError("need at least 2 classes and 2 dimensions")
     if n_per_class < 1:
         raise ConfigurationError("n_per_class must be >= 1 (empty dataset)")
     if class_spread <= 0 or within_class_std < 0:
         raise ConfigurationError("degenerate spread/std")
+
+
+def gen_gaussian_mixture(num_classes: int, dim: int, n_per_class: int,
+                         class_spread: float, within_class_std: float,
+                         seed: int) -> DomainDataset:
+    """Isotropic Gaussian blobs around deterministically placed class means."""
+    check_mixture(num_classes, dim, n_per_class, class_spread, within_class_std)
     means = mixture_means(num_classes, dim, class_spread)
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(num_classes), n_per_class)
@@ -253,9 +313,9 @@ def batch_sampler(dataset: DomainDataset, batch_size: int, seed: int,
     n = len(dataset)
     if n == 0:
         raise ConfigurationError("empty dataset")
-    positions = np.arange(iteration * batch_size, (iteration + 1) * batch_size)
     out = np.empty(batch_size, dtype=np.int64)
-    for epoch in np.unique(positions // n):
-        mask = positions // n == epoch
-        out[mask] = _epoch_perm(n, seed, int(epoch))[positions[mask] % n]
+    first, pos = divmod(iteration * batch_size, n)
+    # epoch e fills out[lo:lo + n], its start lo < 0 for the epoch under way
+    for epoch, lo in enumerate(range(-pos, batch_size, n), start=first):
+        out[max(lo, 0):lo + n] = _epoch_perm(n, seed, epoch)[max(-lo, 0):batch_size - lo]
     return out

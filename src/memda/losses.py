@@ -77,7 +77,7 @@ def multilinear_map(f, g, out=None):
     n, d = f.shape
     c = g.shape[1]
     h = np.empty((n, d * c)) if out is None else out
-    np.multiply(f[:, :, None], g[:, None, :], out=h.reshape(n, d, c))
+    np.einsum("nd,nc->ndc", f, g, out=h.reshape(n, d, c))
     return h
 
 

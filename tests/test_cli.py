@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +283,7 @@ def test_ablate_unknown_axis(tmp_path):
     ("tau", "0.07", ",", "seeds"),
     ("bank_capacity", "32,64,x", "0", "bank_capacity"),
     ("tau", "0.07,0.5,-1", "0", "tau"),
+    ("classes", "5,0", "0", "classes"),
 ])
 def test_ablate_rejects_a_bad_grid_before_any_run(tmp_path, capsys, monkeypatch,
                                                   axis, values, seeds, key):
@@ -291,6 +296,26 @@ def test_ablate_rejects_a_bad_grid_before_any_run(tmp_path, capsys, monkeypatch,
     assert rc == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+def test_train_imports_neither_scipy_nor_numpy_ma(tmp_path):
+    # a fresh interpreter: the test process itself may hold scipy already
+    script = (
+        "import sys\n"
+        "from memda.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "bad = sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy'\n"
+        "             or m == 'numpy.ma' or m.startswith('numpy.ma.'))\n"
+        "print(rc, bad)\n"
+    )
+    src = Path(memda.cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "train", "--outdir", str(tmp_path / "r")]
+        + tiny_flags(), capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_single_value_sweep_matches_train(tmp_path):

@@ -11,7 +11,11 @@ from memda.datasets import (
     gen_gaussian_mixture,
     gen_two_moons,
     load_feature_table,
+    _epoch_perm,
+    _halton_column,
+    _primes,
     mixture_means,
+    ndtri,
     rotation_matrix,
     save_feature_table,
 )
@@ -40,6 +44,30 @@ def test_mixture_means_lie_on_sphere():
     assert np.allclose(np.linalg.norm(means, axis=1), 4.0, atol=1e-12)
     # deterministic placement
     assert np.array_equal(means, mixture_means(12, 6, 4.0))
+
+
+def _ndtri_inputs():
+    """Every Halton matrix the generator can place means with at these
+    sizes, uniform draws, and tails down to 5e-324 and up to 1 - 2**-53."""
+    sets = [np.stack([_halton_column(c, b) for b in _primes(d)], axis=1)
+            for c in (2, 4, 10, 50, 100, 200, 345) for d in (2, 5, 16, 32, 64)]
+    rng = np.random.default_rng(2024)
+    sets.append(rng.random(200_000))
+    sets.append(np.exp(rng.random(200_000) * np.log(5e-324)))
+    sets.append(1.0 - np.exp(rng.random(200_000) * np.log(2.0 ** -53)))
+    return sets
+
+
+def test_ndtri_is_bitwise_scipy():
+    from scipy.special import ndtri as scipy_ndtri
+
+    sets = _ndtri_inputs()
+    assert min(s.min() for s in sets) == 5e-324
+    assert max(s.max() for s in sets) == 1.0 - 2.0 ** -53
+    for p in sets:
+        got = ndtri(p)
+        assert got.shape == p.shape
+        assert np.array_equal(got.view(np.int64), scipy_ndtri(p).view(np.int64))
 
 
 def test_empirical_class_means_concentrate():
@@ -176,6 +204,28 @@ def test_sampler_full_batch_is_permutation():
     ds = gen_gaussian_mixture(3, 4, 10, 3.0, 1.0, seed=0)
     idx = batch_sampler(ds, len(ds), seed=1, iteration=0)
     assert sorted(idx) == list(range(len(ds)))
+
+
+def _sampler_oracle(n, batch_size, seed, iteration):
+    # the batch as the slice [it*b, (it+1)*b) of the concatenated epoch
+    # permutations, one position at a time
+    positions = np.arange(iteration * batch_size, (iteration + 1) * batch_size)
+    out = np.empty(batch_size, dtype=np.int64)
+    for epoch in np.unique(positions // n):
+        mask = positions // n == epoch
+        out[mask] = _epoch_perm(n, seed, int(epoch))[positions[mask] % n]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 31, 32, 33, 64, 100, 10000])
+def test_sampler_matches_position_oracle(n):
+    ds = DomainDataset(np.zeros((n, 2)), SOURCE, 2, np.zeros(n, dtype=np.int64))
+    for batch in (1, 2, 5, 32, 64, 100, 129):
+        for it in range(53):
+            got = batch_sampler(ds, batch, seed=11, iteration=it)
+            want = _sampler_oracle(n, batch, 11, it)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (n, batch, it)
 
 
 def test_sampler_epoch_coverage():

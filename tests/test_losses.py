@@ -93,6 +93,19 @@ def test_multilinear_width_at_scale():
     assert multilinear_map(f, g).shape == (1, 256 * 345)
 
 
+@pytest.mark.parametrize("n,d,c", [(1, 1, 1), (7, 3, 1), (64, 64, 25),
+                                   (128, 64, 25), (4, 256, 345)])
+def test_multilinear_bitwise_equals_broadcast_product(n, d, c):
+    rng = np.random.default_rng(n * 1000 + d + c)
+    f = rng.normal(size=(n, d))
+    g = rng.random((n, c))
+    expected = (f[:, :, None] * g[:, None, :]).reshape(n, d * c)
+    out = np.full((n, d * c), np.nan)
+    assert multilinear_map(f, g, out=out) is out
+    for h in (out, multilinear_map(f, g)):
+        assert np.array_equal(h.view(np.int64), expected.view(np.int64))
+
+
 def test_multilinear_vjp_is_exact():
     rng = np.random.default_rng(4)
     f = rng.normal(size=(3, 4))
