@@ -9,17 +9,17 @@ Target labels exist for evaluation only. ``DomainDataset.train_labels``
 raises on a target-tagged dataset; the trainer's loss path uses that
 accessor, evaluation code uses ``eval_labels``.
 
-Class means go through ``ndtri``, a port of Cephes' inverse normal CDF (the
-one scipy ships); a test pins it bitwise to ``scipy.special.ndtri``.
+Class means use ``ndtri``, a Cephes port pinned bitwise to scipy by a test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.random import default_rng  # loaded with the module, not on first use
 
 from .errors import ConfigurationError, DataFormatError
 
@@ -169,7 +169,7 @@ def gen_gaussian_mixture(num_classes: int, dim: int, n_per_class: int,
     """Isotropic Gaussian blobs around deterministically placed class means."""
     check_mixture(num_classes, dim, n_per_class, class_spread, within_class_std)
     means = mixture_means(num_classes, dim, class_spread)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     labels = np.repeat(np.arange(num_classes), n_per_class)
     noise = rng.normal(0.0, within_class_std, size=(labels.size, dim))
     feats = means[labels] + noise
@@ -196,7 +196,7 @@ def apply_domain_shift(dataset: DomainDataset, spec: ShiftSpec) -> DomainDataset
             raise ConfigurationError("translation width mismatch")
         x = x + t
     if spec.noise > 0:
-        rng = np.random.default_rng(spec.seed)
+        rng = default_rng(spec.seed)
         x = x + rng.normal(0.0, spec.noise, size=x.shape)
     return DomainDataset(x, TARGET, dataset.num_classes, dataset._labels.copy())
 
@@ -208,7 +208,7 @@ def gen_two_moons(n: int, noise: float, rotation: float, seed: int):
         raise ConfigurationError("need n >= 2")
 
     def draw(s):
-        rng = np.random.default_rng(s)
+        rng = default_rng(s)
         n_up = n // 2
         n_lo = n - n_up
         t_up = rng.uniform(0.0, np.pi, n_up)
@@ -296,7 +296,7 @@ def load_feature_table(path, domain: str = SOURCE) -> DomainDataset:
 
 @lru_cache(maxsize=16)
 def _epoch_perm(n: int, seed: int, epoch: int) -> np.ndarray:
-    perm = np.random.default_rng([seed, epoch]).permutation(n)
+    perm = default_rng([seed, epoch]).permutation(n)
     perm.flags.writeable = False  # cached; callers only index it
     return perm
 
