@@ -144,8 +144,8 @@ def ndtri(p) -> np.ndarray:
 
 def mixture_means(num_classes: int, dim: int, spread: float) -> np.ndarray:
     """Deterministic class centres: low-discrepancy points pushed to the
-    sphere of radius ``spread`` (Halton sequence through the inverse normal
-    CDF, the Cephes ``ndtri`` port above, then normalized)."""
+    sphere of radius ``spread`` (Halton sequence through ``ndtri``, the Cephes
+    inverse normal CDF port a test pins bitwise to scipy, then normalized)."""
     cols = [_halton_column(num_classes, b) for b in _primes(dim)]
     z = ndtri(np.stack(cols, axis=1))
     norms = np.linalg.norm(z, axis=1, keepdims=True)

@@ -6,14 +6,14 @@ from memda.datasets import (
     TARGET,
     DomainDataset,
     ShiftSpec,
+    _epoch_perm,
+    _halton_column,
+    _primes,
     apply_domain_shift,
     batch_sampler,
     gen_gaussian_mixture,
     gen_two_moons,
     load_feature_table,
-    _epoch_perm,
-    _halton_column,
-    _primes,
     mixture_means,
     ndtri,
     rotation_matrix,
