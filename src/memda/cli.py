@@ -2,8 +2,9 @@
 
 Configuration is a flat ``key = value`` text file ('#' comments); every key
 can be overridden by a same-named flag (--batch-size overrides batch_size).
-A run writes its manifest before training starts, then a per-iteration
-metrics CSV, a summary report and the trained model.
+Settings (``check_settings``) and data are checked before anything is
+written; a run then writes its manifest before training starts, then a
+per-iteration metrics CSV, a summary report and the trained model.
 
 Exit codes: 0 success; 2 bad configuration, data file or missing file;
 3 numerical failure (non-finite loss, logits or gradient); 4 degenerate
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import statistics
 import sys
 import time
@@ -35,7 +37,7 @@ from .datasets import (
     save_feature_table,
 )
 from .errors import ConfigurationError, DataFormatError, MemdaError
-from .trainer import RunResult, TrainConfig, init_state, run_training
+from .trainer import RunResult, TrainConfig, evaluate, init_state, run_training
 
 CSV_COLUMNS = [
     "iter", "l_sup", "l_d", "l_sc", "total", "lr_encoder", "lr_heads",
@@ -116,6 +118,18 @@ def train_config_from(settings: dict) -> TrainConfig:
     return TrainConfig(**{k: settings[k] for k in TRAIN_DEFAULTS})
 
 
+def check_settings(settings: dict) -> TrainConfig:
+    """The run's validated ``TrainConfig``; for generated data, the mixture
+    and shift settings are checked too. Raises ``ConfigurationError``."""
+    config = train_config_from(settings)
+    config.validate()
+    if not (settings["source_table"] or settings["target_table"]):
+        check_mixture(*(settings[k] for k in MIXTURE_KEYS))
+        ShiftSpec.from_degrees(settings["rotation_deg"],
+                               noise=settings["shift_noise"])
+    return config
+
+
 def resolve_datasets(settings: dict):
     """Load feature tables when given, otherwise generate the benchmark."""
     if settings["source_table"] or settings["target_table"]:
@@ -194,7 +208,7 @@ def load_model(path):
     return model, config
 
 
-def write_manifest(outdir: Path, settings: dict) -> Path:
+def write_manifest(outdir: Path, settings: dict) -> None:
     manifest = {
         "tool": "memda",
         "version": __version__,
@@ -202,22 +216,26 @@ def write_manifest(outdir: Path, settings: dict) -> Path:
         "settings": settings,
         "outdir": str(outdir),
     }
-    path = outdir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+
+
+def accuracy_dict(report: metrics.EvalReport) -> dict:
+    return {
+        "overall_accuracy": report.overall_accuracy,
+        "macro_accuracy": metrics.macro_accuracy(report.per_class_accuracy),
+        "per_class_accuracy": [float(v) for v in report.per_class_accuracy],
+    }
 
 
 def summary_dict(result: RunResult) -> dict:
-    ev = result.evaluation
+    last = result.history[-1]
     return {
-        "overall_accuracy": ev.overall_accuracy,
-        "macro_accuracy": metrics.macro_accuracy(ev.per_class_accuracy),
-        "per_class_accuracy": [float(v) for v in ev.per_class_accuracy],
-        "pseudo_label_accuracy": ev.pseudo_label_accuracy,
-        "mean_similarity": ev.mean_similarity,
-        "iterations": ev.iteration,
+        **accuracy_dict(result.evaluation),
+        "pseudo_label_accuracy": last.pl_acc,
+        "mean_similarity": last.mean_sim_avg,
+        "iterations": len(result.history),
     }
 
 
@@ -239,11 +257,10 @@ def cmd_gen_data(args) -> int:
 
 
 def run_from_settings(settings: dict, outdir: Path) -> RunResult:
+    config = check_settings(settings)
+    source, target = resolve_datasets(settings)  # bad data writes nothing
     outdir.mkdir(parents=True, exist_ok=True)
     write_manifest(outdir, settings)
-    config = train_config_from(settings)
-    config.validate()
-    source, target = resolve_datasets(settings)
     result = run_training(config, source, target)
     write_metrics_csv(outdir / "metrics.csv", result.history)
     with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
@@ -280,23 +297,21 @@ def cmd_ablate(args) -> int:
         raise ConfigurationError(f"key 'seeds': {exc}") from exc
     if not seeds:
         raise ConfigurationError("key 'seeds': the seed list is empty")
-    grid = []  # every grid point is converted and validated before any run
+    grid = []  # every grid point is converted and checked before any run
     for raw in values:
         value = _convert(args.axis, raw)
-        grid.append((raw, [{**base, args.axis: value, "seed": s} for s in seeds]))
-        for settings in grid[-1][1]:
-            train_config_from(settings).validate()
-            if not (settings["source_table"] or settings["target_table"]):
-                check_mixture(*(settings[k] for k in MIXTURE_KEYS))
+        runs = [{**base, args.axis: value, "seed": s} for s in seeds]
+        grid.append((raw, [(settings, check_settings(settings))
+                           for settings in runs]))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for raw, runs in grid:
         accs = []
-        for settings in runs:
+        for settings, config in runs:
             source, target = resolve_datasets(settings)
-            result = run_training(train_config_from(settings), source, target)
+            result = run_training(config, source, target)
             accs.append(result.evaluation.overall_accuracy)
             rows.append((raw, str(settings["seed"]), accs[-1]))
         rows.append((raw, "median", statistics.median(accs)))
@@ -319,23 +334,11 @@ def cmd_eval(args) -> int:
         target = load_feature_table(settings["target_table"], TARGET)
     else:
         _, target = resolve_datasets(settings)
-    from .trainer import predict
-
-    preds = predict(model, target.features)
-    truth = target.eval_labels()
-    labeled = truth >= 0
-    if not labeled.any():
+    report = evaluate(model, target)
+    if math.isnan(report.overall_accuracy):
         print("target table has no evaluation labels")
         return 2
-    overall = metrics.accuracy(preds[labeled], truth[labeled])
-    per_class = metrics.per_class_accuracy(preds[labeled], truth[labeled],
-                                           target.num_classes)
-    report = {
-        "overall_accuracy": overall,
-        "macro_accuracy": metrics.macro_accuracy(per_class),
-        "per_class_accuracy": [float(v) for v in per_class],
-    }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(accuracy_dict(report), indent=2, sort_keys=True))
     return 0
 
 

@@ -2,8 +2,8 @@
 
 The generators are pure functions of their seeds. Domain shift never touches
 labels: the target is the source distribution pushed through a fixed
-orthonormal rotation plus translation and noise, so the true labeling
-function is carried over unchanged.
+orthonormal rotation plus noise, so the true labeling function is carried
+over unchanged.
 
 Target labels exist for evaluation only. ``DomainDataset.train_labels``
 raises on a target-tagged dataset; the trainer's loss path uses that
@@ -56,17 +56,20 @@ class DomainDataset:
 
 @dataclass(frozen=True)
 class ShiftSpec:
-    """Deterministic covariate shift: block rotations + translation + noise."""
+    """Deterministic covariate shift: block rotations + noise."""
 
     rotation: float = 0.0           # radians, applied in every (2i, 2i+1) plane
-    translation: np.ndarray | None = None
     noise: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.noise >= 0:  # written this way round to reject NaN too
+            raise ConfigurationError(f"shift_noise must be >= 0, got {self.noise}")
+
     @staticmethod
-    def from_degrees(degrees: float, translation=None, noise: float = 0.0,
+    def from_degrees(degrees: float, noise: float = 0.0,
                      seed: int = 0) -> "ShiftSpec":
-        return ShiftSpec(np.deg2rad(degrees), translation, noise, seed)
+        return ShiftSpec(np.deg2rad(degrees), noise, seed)
 
 
 def _halton_column(n: int, base: int) -> np.ndarray:
@@ -187,47 +190,13 @@ def rotation_matrix(dim: int, angle: float) -> np.ndarray:
 
 
 def apply_domain_shift(dataset: DomainDataset, spec: ShiftSpec) -> DomainDataset:
-    """x <- R x + t + noise; labels copied verbatim, domain tag set to target."""
+    """x <- R x + noise; labels copied verbatim, domain tag set to target."""
     r = rotation_matrix(dataset.dim, spec.rotation)
     x = dataset.features @ r.T
-    if spec.translation is not None:
-        t = np.asarray(spec.translation, dtype=np.float64)
-        if t.shape != (dataset.dim,):
-            raise ConfigurationError("translation width mismatch")
-        x = x + t
     if spec.noise > 0:
         rng = default_rng(spec.seed)
         x = x + rng.normal(0.0, spec.noise, size=x.shape)
     return DomainDataset(x, TARGET, dataset.num_classes, dataset._labels.copy())
-
-
-def gen_two_moons(n: int, noise: float, rotation: float, seed: int):
-    """Interleaved half-circles; target is an independent draw rotated by
-    ``rotation`` radians. Returns (source, target)."""
-    if n < 2:
-        raise ConfigurationError("need n >= 2")
-
-    def draw(s):
-        rng = default_rng(s)
-        n_up = n // 2
-        n_lo = n - n_up
-        t_up = rng.uniform(0.0, np.pi, n_up)
-        t_lo = rng.uniform(0.0, np.pi, n_lo)
-        upper = np.column_stack((np.cos(t_up), np.sin(t_up)))
-        lower = np.column_stack((1.0 - np.cos(t_lo), 0.5 - np.sin(t_lo)))
-        x = np.vstack((upper, lower))
-        y = np.concatenate((np.zeros(n_up, dtype=np.int64),
-                            np.ones(n_lo, dtype=np.int64)))
-        if noise > 0:
-            x = x + rng.normal(0.0, noise, size=x.shape)
-        return x, y
-
-    xs, ys = draw(seed)
-    xt, yt = draw(seed + 1)
-    source = DomainDataset(xs, SOURCE, 2, ys)
-    r = rotation_matrix(2, rotation)
-    target = DomainDataset(xt @ r.T, TARGET, 2, yt)
-    return source, target
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,19 @@ returns both the scalar value and the gradient w.r.t. its direct inputs;
 the trainer chains those through the networks.
 
 Reference features (memory bank or detached source batch) are constants in
-l_sc: gradients flow only to the target anchors. The consistency loss runs
-on a ``similarity.ReferenceSet``: the bank's own set, whose rows were
-prepared once at enqueue in the layout of the bank's kernel (unit rows for
-cosine, raw rows and squared norms otherwise), or a transient set wrapping
-the source batch. Its score, work and mask matrices are reused by every
-call on the set: a ``ConsistencyResult``'s ``sim`` and the ``dsim`` of
-``consistency_from_similarity`` alias those buffers until the next call on
-the same set, while ``value``, ``grad_targets``, ``positives`` and
-``per_anchor`` are the caller's own. Each step finds the positive pairs
-once, as flat row-major indices into the score matrix; the loss, its
-gradient and the similarity diagnostics all read them from there.
+l_sc: gradients flow only to the target anchors. ``sample_consistency`` is
+the one consistency entry for both (``sample_consistency_memory`` adds the
+bank's gate). It runs on a ``similarity.ReferenceSet``: the bank's own set,
+whose rows were prepared once at enqueue in the layout of the bank's kernel
+(unit rows for cosine, raw rows and squared norms otherwise), or a
+transient set wrapping the source batch. Its score, work and mask matrices
+are reused by every call on the set: a ``ConsistencyResult``'s ``sim`` and
+the ``dsim`` of ``consistency_from_similarity`` alias those buffers until
+the next call on the same set, while ``value``, ``grad_targets``,
+``positives`` and ``per_anchor`` are the caller's own. Each step finds the
+positive pairs once, as ascending flat row-major indices into the score
+matrix; the loss, its gradient and the similarity diagnostics take them in
+that form only.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ class LossReport:
     l_adv: float = 0.0
     l_sc: float = 0.0
     total: float = 0.0
-    skipped_anchors: int = 0
 
 
 def supervised_loss(probs, labels):
@@ -132,11 +133,11 @@ def consistency_from_similarity(sim, positives, tau: float, work=None):
 
     Per anchor j:  loss_j = LSE(sim_j / tau) - LSE(sim_j[positives] / tau),
     i.e. -log of the total softmax mass on the positive set. ``positives``
-    is an n x m boolean mask or the ascending flat row-major indices of its
-    True entries. Anchors with no positives contribute 0 and are tallied;
-    anchors whose positive set covers every reference contribute exactly
-    0.0, and so does their gradient row. Returns
-    (value, dsim, per_anchor, skipped).
+    holds the ascending flat row-major indices into ``sim`` of the positive
+    pairs (``np.flatnonzero`` of an n x m mask). Anchors with no positives
+    contribute 0 and are tallied; anchors whose positive set covers every
+    reference contribute exactly 0.0, and so does their gradient row.
+    Returns (value, dsim, per_anchor, skipped).
 
     The n x m passes: a row max of ``sim``, ``exp(sim * (1/tau))`` into
     ``work``, a row sum, and one per-row scale folding the softmax
@@ -155,8 +156,7 @@ def consistency_from_similarity(sim, positives, tau: float, work=None):
         raise ConfigurationError("the work array must be C-contiguous")
     sim = np.asarray(sim, dtype=np.float64)
     n, m = sim.shape
-    pos = np.asarray(positives)
-    flat = np.flatnonzero(pos) if pos.dtype == bool else pos
+    flat = np.asarray(positives)
     rows = flat // m
     counts = np.bincount(rows, minlength=n)
     has_pos = counts > 0
@@ -191,8 +191,15 @@ def consistency_from_similarity(sim, positives, tau: float, work=None):
     return float(per_anchor.sum() / n), work, per_anchor, skipped
 
 
-def _consistency(targets, references, ref_labels, tau, k, kind, num_classes,
-                 pseudo_labels=None) -> ConsistencyResult:
+def sample_consistency(targets, references, ref_labels, tau: float,
+                       kind: simmod.SimilarityKind, k: int, num_classes: int,
+                       pseudo_labels=None) -> ConsistencyResult:
+    """The consistency loss of ``targets`` against constant references:
+    the bank's ``similarity.ReferenceSet`` or raw rows (the source batch).
+
+    Pseudo-labels default to a kNN vote over the references; pass
+    ``pseudo_labels`` explicitly for the classifier-based ablation.
+    """
     refs = simmod.reference_set(references, kind)
     sim = simmod.pairwise_similarity(targets, refs, kind)
     _, work, mask = refs.buffers(sim.shape[0])
@@ -206,23 +213,9 @@ def _consistency(targets, references, ref_labels, tau, k, kind, num_classes,
     positives = np.flatnonzero(mask)
     value, dsim, per_anchor, skipped = consistency_from_similarity(
         sim, positives, tau, work=work)
-    grad = simmod.pairwise_similarity_vjp(targets, refs, kind, dsim, sim=sim)
+    grad = simmod.pairwise_similarity_vjp(targets, refs, kind, dsim, sim)
     return ConsistencyResult(value, grad, assignment, positives, sim,
                              per_anchor, skipped)
-
-
-def sample_consistency_batch(targets, source_feats, source_labels, tau: float,
-                             kind: simmod.SimilarityKind, k: int,
-                             num_classes: int,
-                             pseudo_labels=None) -> ConsistencyResult:
-    """Batch form: positives drawn from the current source mini-batch.
-
-    Pseudo-labels default to a kNN vote over the source batch itself; pass
-    ``pseudo_labels`` explicitly for the classifier-based ablation. Source
-    features are constants, wrapped in a transient reference set.
-    """
-    return _consistency(targets, source_feats, source_labels, tau, k, kind,
-                        num_classes, pseudo_labels)
 
 
 def sample_consistency_memory(targets, bank, tau: float,
@@ -237,8 +230,8 @@ def sample_consistency_memory(targets, bank, tau: float,
     in the bank)."""
     if len(bank) < k:
         raise GatingError(f"bank holds {len(bank)} entries, k={k}")
-    return _consistency(targets, bank.references, bank.labels(), tau, k, kind,
-                        num_classes, pseudo_labels)
+    return sample_consistency(targets, bank.references, bank.labels(), tau,
+                              kind, k, num_classes, pseudo_labels)
 
 
 def total_loss(l_sup: float, l_adv: float, l_sc: float,

@@ -13,9 +13,6 @@ from .errors import ConfigurationError
 class EvalReport:
     overall_accuracy: float
     per_class_accuracy: np.ndarray  # length num_classes, NaN for absent classes
-    mean_similarity: float
-    pseudo_label_accuracy: float
-    iteration: int
 
 
 def accuracy(predictions, truth) -> float:

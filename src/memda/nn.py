@@ -165,16 +165,14 @@ class MLP:
         return MLP(copy.deepcopy(self.layers))  # re-packed into its own vectors
 
 
-def mlp(sizes, activation, rng, final_activation=None) -> MLP:
-    """Build a dense stack from layer widths, e.g. mlp([16, 64, 64, 32], Tanh, rng)."""
+def mlp(sizes, activation, rng) -> MLP:
+    """Build a dense stack from layer widths, e.g. mlp([16, 64, 64, 32], Tanh,
+    rng), with ``activation`` after every layer but the last."""
     layers = []
     for i, (a, b) in enumerate(zip(sizes[:-1], sizes[1:])):
         layers.append(Dense(a, b, rng))
-        last = i == len(sizes) - 2
-        if not last and activation is not None:
+        if i < len(sizes) - 2:
             layers.append(activation())
-        if last and final_activation is not None:
-            layers.append(final_activation())
     return MLP(layers)
 
 
@@ -315,47 +313,3 @@ def gradient_reversal(g_in: np.ndarray, coeff: float, out=None) -> np.ndarray:
         raise ConfigurationError("gradient reversal coefficient must be >= 0")
     return np.multiply(np.asarray(g_in, dtype=np.float64), -coeff, out=out)
 
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-
-def finite_difference_check(loss_fn, params, h_step: float = 1e-6, names=None) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``loss_fn()`` must return ``(value, grads)`` where ``grads`` aligns with
-    ``params`` elementwise; the analytic gradients are read once at the
-    current point, then every parameter entry is probed at +/- h_step. The
-    relative error is |analytic - numeric| / max(1, |analytic|, |numeric|).
-    """
-    if not (1e-7 <= h_step <= 1e-4):
-        raise ConfigurationError(f"h_step {h_step} outside [1e-7, 1e-4]")
-    params = list(params)
-    if names is None:
-        names = [f"param[{i}]{p.shape}" for i, p in enumerate(params)]
-    value, grads = loss_fn()
-    if not np.isfinite(value):
-        raise NumericalError("non-finite loss at the expansion point")
-    grads = [np.array(g, dtype=np.float64, copy=True) for g in grads]
-    if len(grads) != len(params):
-        raise ConfigurationError("loss_fn returned a gradient list of the wrong length")
-
-    worst = 0.0
-    for p, g, name in zip(params, grads, names):
-        if p.shape != g.shape:
-            raise ConfigurationError(f"gradient shape mismatch for {name}")
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h_step
-            up, _ = loss_fn()
-            flat_p[i] = orig - h_step
-            down, _ = loss_fn()
-            flat_p[i] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise NumericalError(f"non-finite loss while probing {name}[{i}]")
-            numeric = (up - down) / (2.0 * h_step)
-            err = abs(flat_g[i] - numeric) / max(1.0, abs(flat_g[i]), abs(numeric))
-            worst = max(worst, err)
-    return worst

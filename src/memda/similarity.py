@@ -3,7 +3,9 @@
 All kernels follow the "larger is more similar" contract: cosine in [-1, 1],
 Euclidean as negated L2 distance, Gaussian as exp(-d^2 / (2 sigma^2)).
 Pseudo-labels come from a k-nearest-neighbour majority vote over a
-reference set (the memory bank or the source batch).
+reference set (the memory bank or the source batch). The backward pass,
+``pairwise_similarity_vjp``, takes the forward's score matrix and never
+recomputes it.
 """
 
 from __future__ import annotations
@@ -149,35 +151,34 @@ def _sq_dists(t: np.ndarray, refs: ReferenceSet, out: np.ndarray,
 
 
 def pairwise_similarity_vjp(targets, references, kind: SimilarityKind,
-                            upstream: np.ndarray,
-                            sim: np.ndarray | None = None) -> np.ndarray:
+                            upstream: np.ndarray, sim: np.ndarray) -> np.ndarray:
     """Gradient of sum(upstream * scores) w.r.t. the target rows.
 
     References are constants (bank entries or detached source features), so
-    no gradient is returned for them. Pass the score matrix already computed
-    on the same set as ``sim`` to skip recomputing it. For the Gaussian
-    kernel the set's work buffer receives the upstream-weighted scores;
-    ``upstream`` may be that buffer itself (when ``sim`` is given) and is
-    then overwritten. The returned gradient is a fresh array.
+    no gradient is returned for them. ``sim`` is the score matrix of
+    ``targets`` against the same references, as ``pairwise_similarity``
+    returned it; it is read, never recomputed. For the Gaussian kernel the
+    set's work buffer receives the upstream-weighted scores; ``upstream``
+    may be that buffer itself and is then overwritten. The returned
+    gradient is a fresh array.
     """
     t = np.asarray(targets, dtype=np.float64)
     refs = reference_set(references, kind)
     up = np.asarray(upstream, dtype=np.float64)
-    phi = sim if sim is not None else pairwise_similarity(t, refs, kind)
     if refs.unit:
         tn = _check_norms(t, "target")
         that = t / tn[:, None]
         # d phi_i / dt = (rhat_i - phi_i * that) / |t|
         grad = up @ refs.rows
-        grad -= np.einsum("ij,ij->i", up, phi)[:, None] * that
+        grad -= np.einsum("ij,ij->i", up, sim)[:, None] * that
         grad /= tn[:, None]
         return grad
     if kind.name == EUCLIDEAN:
-        d = -phi
+        d = -sim
         coef = np.where(d > ZERO_NORM_TOL, up / np.maximum(d, ZERO_NORM_TOL), 0.0)
     else:
         _, work, _ = refs.buffers(t.shape[0])
-        coef = np.multiply(up, phi, out=work)
+        coef = np.multiply(up, sim, out=work)
         coef /= kind.sigma**2
     # sum_i coef_ji * (r_i - t_j)
     return coef @ refs.rows - coef.sum(axis=1, keepdims=True) * t

@@ -194,7 +194,6 @@ def adv_coefficient(iteration: int, config: TrainConfig) -> float:
 class StepOutput:
     report: losses.LossReport
     f_source: np.ndarray
-    f_target: np.ndarray
     g_target: np.ndarray
     consistency: losses.ConsistencyResult | None = None
 
@@ -269,11 +268,10 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
                 f_t, bank, config.tau, kind, config.k, model.num_classes,
                 pseudo_labels=pseudo)
         else:
-            consistency = losses.sample_consistency_batch(
+            consistency = losses.sample_consistency(
                 f_t, f_s, np.asarray(y_source), config.tau, kind,
                 config.k, model.num_classes, pseudo_labels=pseudo)
         report.l_sc = consistency.value
-        report.skipped_anchors = consistency.skipped
         if config.lambda_sc > 0:
             df[ns:] += config.lambda_sc * consistency.grad_targets
 
@@ -283,7 +281,7 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
 
     report.total = losses.total_loss(report.l_sup, report.l_adv, report.l_sc,
                                      lambda_adv, config.lambda_sc)
-    return StepOutput(report, f_s, f_t, g_t, consistency)
+    return StepOutput(report, f_s, g_t, consistency)
 
 
 @dataclass
@@ -390,7 +388,7 @@ def train_step(state: TrainerState, x_source, y_source, x_target, y_target_eval,
         mean_sim_avg=mean_avg,
         mean_sim_literal=mean_lit,
         pl_acc=pl_acc,
-        skip_count=report.skipped_anchors,
+        skip_count=out.consistency.skipped if out.consistency is not None else 0,
     )
     state.last_good = record
     return record
@@ -407,13 +405,25 @@ def predict(model: ModelBundle, features) -> np.ndarray:
     return preds
 
 
+def evaluate(model: ModelBundle, target: DomainDataset) -> metrics.EvalReport:
+    """Accuracy of ``model``'s predictions on the labelled rows of
+    ``target``; NaN everywhere when no row carries an evaluation label."""
+    truth = target.eval_labels()
+    labeled = truth >= 0
+    if not labeled.any():
+        return metrics.EvalReport(float("nan"),
+                                  np.full(target.num_classes, np.nan))
+    preds = predict(model, target.features)[labeled]
+    return metrics.EvalReport(
+        metrics.accuracy(preds, truth[labeled]),
+        metrics.per_class_accuracy(preds, truth[labeled], target.num_classes))
+
+
 @dataclass
 class RunResult:
     model: ModelBundle
     history: list
     evaluation: metrics.EvalReport
-    bank: MemoryBank | None = None
-    state: TrainerState | None = None
 
 
 def run_training(config: TrainConfig, source: DomainDataset,
@@ -444,22 +454,4 @@ def run_training(config: TrainConfig, source: DomainDataset,
             config,
         )
         history.append(record)
-
-    preds = predict(state.model, target.features)
-    if has_target_labels:
-        labeled = target_eval >= 0
-        overall = metrics.accuracy(preds[labeled], target_eval[labeled])
-        per_class = metrics.per_class_accuracy(
-            preds[labeled], target_eval[labeled], target.num_classes)
-    else:
-        overall = float("nan")
-        per_class = np.full(target.num_classes, np.nan)
-    last = history[-1]
-    evaluation = metrics.EvalReport(
-        overall_accuracy=overall,
-        per_class_accuracy=per_class,
-        mean_similarity=last.mean_sim_avg,
-        pseudo_label_accuracy=last.pl_acc,
-        iteration=config.total_iters,
-    )
-    return RunResult(state.model, history, evaluation, state.bank, state)
+    return RunResult(state.model, history, evaluate(state.model, target))

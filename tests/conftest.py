@@ -6,6 +6,7 @@ import numpy as np
 
 from memda import losses
 from memda.bank import MemoryBank
+from memda.errors import ConfigurationError, NumericalError
 from memda.nn import (
     build_model,
     classifier_forward,
@@ -110,7 +111,7 @@ def two_pass_forward_backward(model, x_source, y_source, x_target, config,
                 f_t, bank, config.tau, kind, config.k, model.num_classes,
                 pseudo_labels=pseudo)
         else:
-            cons = losses.sample_consistency_batch(
+            cons = losses.sample_consistency(
                 f_t, f_s, np.asarray(y_source), config.tau, kind, config.k,
                 model.num_classes, pseudo_labels=pseudo)
         report.l_sc = cons.value
@@ -205,3 +206,44 @@ def component_closure(model, cfg, x_s, y_s, x_t, bank, component, side):
         return value, [g.copy() for g in grad_src()]
 
     return loss_fn, params
+
+
+def finite_difference_check(loss_fn, params, h_step: float = 1e-6, names=None) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``loss_fn()`` must return ``(value, grads)`` where ``grads`` aligns with
+    ``params`` elementwise; the analytic gradients are read once at the
+    current point, then every parameter entry is probed at +/- h_step. The
+    relative error is |analytic - numeric| / max(1, |analytic|, |numeric|).
+    """
+    if not (1e-7 <= h_step <= 1e-4):
+        raise ConfigurationError(f"h_step {h_step} outside [1e-7, 1e-4]")
+    params = list(params)
+    if names is None:
+        names = [f"param[{i}]{p.shape}" for i, p in enumerate(params)]
+    value, grads = loss_fn()
+    if not np.isfinite(value):
+        raise NumericalError("non-finite loss at the expansion point")
+    grads = [np.array(g, dtype=np.float64, copy=True) for g in grads]
+    if len(grads) != len(params):
+        raise ConfigurationError("loss_fn returned a gradient list of the wrong length")
+
+    worst = 0.0
+    for p, g, name in zip(params, grads, names):
+        if p.shape != g.shape:
+            raise ConfigurationError(f"gradient shape mismatch for {name}")
+        flat_p = p.reshape(-1)
+        flat_g = g.reshape(-1)
+        for i in range(flat_p.size):
+            orig = flat_p[i]
+            flat_p[i] = orig + h_step
+            up, _ = loss_fn()
+            flat_p[i] = orig - h_step
+            down, _ = loss_fn()
+            flat_p[i] = orig
+            if not (np.isfinite(up) and np.isfinite(down)):
+                raise NumericalError(f"non-finite loss while probing {name}[{i}]")
+            numeric = (up - down) / (2.0 * h_step)
+            err = abs(flat_g[i] - numeric) / max(1.0, abs(flat_g[i]), abs(numeric))
+            worst = max(worst, err)
+    return worst

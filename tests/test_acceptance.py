@@ -13,12 +13,18 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_force_knn, component_closure, naive_consistency, tiny_problem
+from conftest import (
+    brute_force_knn,
+    component_closure,
+    finite_difference_check,
+    naive_consistency,
+    tiny_problem,
+)
 from memda.bank import MemoryBank, momentum_update
 from memda.cli import main as cli_main
 from memda.datasets import ShiftSpec, apply_domain_shift, gen_gaussian_mixture
 from memda.losses import consistency_from_similarity, sample_consistency_memory
-from memda.nn import build_model, finite_difference_check
+from memda.nn import build_model
 from memda.similarity import COSINE, EUCLIDEAN, SimilarityKind, assign_pseudo_labels
 from memda.trainer import TrainConfig, run_training
 
@@ -116,7 +122,7 @@ def test_criterion_2_consistency_oracle():
         tau = taus[trial % 3]
         sim = rng.uniform(-1.0, 1.0, size=(n_t, n_m))
         pos = rng.uniform(size=(n_t, n_m)) < 0.25
-        value, _, _, _ = consistency_from_similarity(sim, pos, tau)
+        value, _, _, _ = consistency_from_similarity(sim, np.flatnonzero(pos), tau)
         expect = naive_consistency(sim, pos, tau)
         worst = max(worst, abs(value - expect))
     elapsed = time.perf_counter() - t0

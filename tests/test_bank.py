@@ -187,7 +187,7 @@ def test_bank_rows_score_bitwise_like_raw_rows(kind):
         got = pairwise_similarity(targets, bank.references, kind)
         assert len(bank.references) == len(raw)
         assert np.array_equal(got, want)
-        want_grad = pairwise_similarity_vjp(targets, raw, kind, up)
+        want_grad = pairwise_similarity_vjp(targets, raw, kind, up, want)
         got_grad = pairwise_similarity_vjp(targets, bank.references, kind,
                                            up, sim=got)
         assert np.array_equal(got_grad, want_grad)

@@ -134,6 +134,15 @@ def test_gen_data_zero_rotation_moments_match(tmp_path):
     assert np.max(gap) < 0.2  # independent draws of the same distribution
 
 
+@pytest.mark.parametrize("noise", ["-1", "nan"])
+def test_gen_data_rejects_a_bad_shift_noise(tmp_path, capsys, noise):
+    rc = main(["gen-data", "--out", str(tmp_path / "out" / "d"),
+               "--shift-noise", noise])
+    assert rc == 2
+    assert "shift_noise" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -187,6 +196,18 @@ def test_train_unknown_key_fails_with_exit_2(tmp_path):
     cfg.write_text("warp_speed = 9\n")
     rc = main(["train", "--outdir", str(tmp_path / "x"), "--config", str(cfg)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--classes", "0"],                     # a data key
+    ["--k", "0"],                           # a trainer key
+    ["--source-table", "bad.csv", "--target-table", "bad.csv"],
+])
+def test_train_with_bad_settings_writes_nothing(tmp_path, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.csv").write_text("not a header\n")
+    assert main(["train", "--outdir", "D"] + flags) == 2
+    assert not Path("D").exists()
 
 
 def test_train_on_feature_tables(tmp_path):
@@ -284,6 +305,7 @@ def test_ablate_unknown_axis(tmp_path):
     ("bank_capacity", "32,64,x", "0", "bank_capacity"),
     ("tau", "0.07,0.5,-1", "0", "tau"),
     ("classes", "5,0", "0", "classes"),
+    ("tau", "0.07", "0", "shift_noise"),  # bad base setting: shift_noise nan
 ])
 def test_ablate_rejects_a_bad_grid_before_any_run(tmp_path, capsys, monkeypatch,
                                                   axis, values, seeds, key):
@@ -291,8 +313,9 @@ def test_ablate_rejects_a_bad_grid_before_any_run(tmp_path, capsys, monkeypatch,
         raise AssertionError("a run started before the grid was checked")
 
     monkeypatch.setattr(memda.cli, "run_training", refuse)
+    base = tiny_flags(**({key: "nan"} if key == "shift_noise" else {}))
     rc = main(["ablate", "--outdir", str(tmp_path / "s"), "--axis", axis,
-               "--values", values, "--seeds", seeds] + tiny_flags())
+               "--values", values, "--seeds", seeds] + base)
     assert rc == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
@@ -316,6 +339,22 @@ def test_train_imports_neither_scipy_nor_numpy_ma(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_package_root_imports_nothing():
+    # a fresh interpreter: the test process itself has numpy loaded already
+    script = (
+        "import sys\n"
+        "import memda\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'numpy' or m.startswith('memda.')))\n"
+    )
+    src = Path(memda.cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_single_value_sweep_matches_train(tmp_path):

@@ -12,7 +12,6 @@ from memda.datasets import (
     apply_domain_shift,
     batch_sampler,
     gen_gaussian_mixture,
-    gen_two_moons,
     load_feature_table,
     mixture_means,
     ndtri,
@@ -110,27 +109,6 @@ def test_rotation_is_orthonormal_and_isometric():
     before = pdist(ds.features)
     after = pdist(shifted.features)
     assert np.max(np.abs(before - after)) <= 1e-10
-
-
-def test_two_moons_noise_free_points_on_circles():
-    src, tgt = gen_two_moons(200, noise=0.0, rotation=0.0, seed=4)
-    for ds in (src, tgt):
-        x, y = ds.features[:, 0], ds.features[:, 1]
-        upper = ds._labels == 0
-        r_upper = x[upper] ** 2 + y[upper] ** 2
-        r_lower = (x[~upper] - 1.0) ** 2 + (y[~upper] - 0.5) ** 2
-        assert np.max(np.abs(r_upper - 1.0)) <= 1e-12
-        assert np.max(np.abs(r_lower - 1.0)) <= 1e-12
-
-
-def test_two_moons_rotation_and_determinism():
-    a_src, a_tgt = gen_two_moons(50, noise=0.05, rotation=0.7, seed=8)
-    b_src, b_tgt = gen_two_moons(50, noise=0.05, rotation=0.7, seed=8)
-    assert np.array_equal(a_src.features, b_src.features)
-    assert np.array_equal(a_tgt.features, b_tgt.features)
-    assert a_src.domain == SOURCE and a_tgt.domain == TARGET
-    with pytest.raises(ConfigurationError):
-        gen_two_moons(1, 0.0, 0.0, seed=0)
 
 
 def test_target_train_labels_are_sealed():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import finite_difference_check
 from memda.errors import ConfigurationError, NumericalError
 from memda.nn import (
     PROB_EPS,
@@ -10,7 +11,6 @@ from memda.nn import (
     classifier_forward,
     discriminator_forward,
     encoder_forward,
-    finite_difference_check,
     gradient_reversal,
     sigmoid,
     softmax,

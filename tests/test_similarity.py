@@ -279,7 +279,8 @@ def test_pairwise_vjp_matches_finite_differences(kind):
     t = rng.normal(size=(3, 4))
     r = rng.normal(size=(7, 4))
     up = rng.normal(size=(3, 7))
-    grad = pairwise_similarity_vjp(t, r, kind, up)
+    grad = pairwise_similarity_vjp(t, r, kind, up,
+                                   pairwise_similarity(t, r, kind))
     h = 1e-6
     for j in range(3):
         for d in range(4):

@@ -181,9 +181,12 @@ def test_bootstrap_purity_and_first_fill():
 def test_one_update_per_network_per_iteration():
     src, tgt = small_domains()
     cfg = small_config(total_iters=12, bootstrap_iters=3)
-    result = run_training(cfg, src, tgt)
-    assert result.state.opt_encoder.steps == cfg.total_iters
-    assert result.state.opt_heads.steps == cfg.total_iters
+    state = init_state(cfg, src.dim, src.num_classes)
+    for it in range(cfg.total_iters):
+        rows = np.arange(it, it + cfg.batch_size) % len(src)
+        train_step(state, src.features[rows], src.train_labels[rows],
+                   tgt.features[rows], None, it, cfg)
+        assert state.opt_encoder.steps == state.opt_heads.steps == it + 1
 
 
 def test_seed_determinism_end_to_end():
@@ -225,8 +228,8 @@ def test_source_only_baseline_runs():
 def test_batch_variant_runs_without_bank():
     src, tgt = small_domains()
     cfg = small_config(consistency="batch", k=3)
+    assert init_state(cfg, src.dim, src.num_classes).bank is None
     result = run_training(cfg, src, tgt)
-    assert result.bank is None
     assert all(r.bank_size == 0 for r in result.history)
     assert any(r.l_sc > 0.0 for r in result.history[cfg.bootstrap_iters:])
 
