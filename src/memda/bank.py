@@ -1,24 +1,26 @@
 """Fixed-capacity FIFO store of past source features and labels.
 
-The bank is the large proxy for the source mini-batch in the consistency
-loss: each training iteration appends the fresh source batch and, once full,
-drops exactly the oldest entries. Stored features are detached copies; no
-gradient ever flows back into them.
+The bank is the consistency loss's reference set, and the only one: each
+training iteration appends the fresh source batch and, once full, drops
+exactly the oldest entries. The batch variant of the loss, which scores
+targets against the current source batch alone, is a bank whose capacity is
+the batch size, filled once per step. Stored features are detached copies;
+no gradient ever flows back into them.
 
-A bank stores one representation per row, chosen by the similarity kind it
-serves and written once, at enqueue, for the new rows only:
+A bank serves one similarity kernel, its ``kind``, fixed when it is built
+with the capacity and the feature width. It stores one representation per
+row, chosen by that kernel and written once, at enqueue, for the new rows
+only:
 
     cosine               unit rows r/|r| and norms |r|; a (near-)zero row
                          is rejected at enqueue with its row index
     euclidean, gaussian  raw rows r and squared norms |r|^2
 
-The layout, like the capacity and the feature width, is fixed when the bank
-is built; the bank then serves only the kernels of that layout.
-
-``references`` is the ``similarity.ReferenceSet`` over the stored rows,
-oldest first. It owns the score and work buffers the consistency loss
-reuses on every call, so what that loss returns aliases them until its next
-call on this bank.
+``rows`` and ``norms`` are that representation over the stored entries,
+oldest first. The bank also owns the score, work and mask buffers
+(``buffers``) that the kernels and the consistency loss reuse on every
+call, so what that loss returns aliases them until its next call on this
+bank.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .nn import MLP
 
 
 class MemoryBank:
-    """FIFO ring of (feature, label) pairs, oldest first."""
+    """FIFO ring of (feature, label) pairs, oldest first, laid out for the
+    kernel ``kind``."""
 
     def __init__(self, capacity: int, feature_dim: int,
                  kind: simmod.SimilarityKind):
@@ -46,11 +49,30 @@ class MemoryBank:
         self._labels = np.zeros(2 * self.capacity, dtype=np.int64)
         self._head = 0  # ring position of the oldest entry once full
         self._size = 0
-        self.references = simmod.ReferenceSet(
-            kind.name == simmod.COSINE, self._features[:0], self._norms[:0])
+        self.kind = kind
+        self.unit = kind.name == simmod.COSINE
+        self.rows = self._features[:0]  # the stored window, oldest first
+        self.norms = self._norms[:0]
+        self._flat = None  # (2, size): flat score and work storage
+        self._mask = None  # (size,): flat mask storage
 
     def __len__(self) -> int:
         return self._size
+
+    def buffers(self, n: int):
+        """(score, work, mask): contiguous n x len(self) matrices, the first
+        two of floats, the last of bools.
+
+        The storage only grows, so once the bank is full every call reuses
+        it.
+        """
+        size = n * self._size
+        if self._flat is None or self._flat.shape[1] < size:
+            self._flat = np.empty((2, size))
+            self._mask = np.empty(size, dtype=bool)
+        flat, shape = self._flat[:, :size], (n, self._size)
+        mask = self._mask[:size].reshape(shape)
+        return flat[0].reshape(shape), flat[1].reshape(shape), mask
 
     def ready(self, min_entries: int) -> bool:
         return self._size >= min_entries
@@ -74,8 +96,7 @@ class MemoryBank:
         if feats.shape[0] > self.capacity:
             feats = feats[-self.capacity:]
             labs = labs[-self.capacity:]
-        rows, norms = simmod.prepare_rows(feats, self.references.unit,
-                                          "enqueued")
+        rows, norms = simmod.prepare_rows(feats, self.unit, "enqueued")
         n = feats.shape[0]
         write = (self._head + self._size) % self.capacity
         tail = min(n, self.capacity - write)
@@ -92,8 +113,8 @@ class MemoryBank:
         self._head = (self._head + overflow) % self.capacity
         self._size = min(self._size + n, self.capacity)
         window = slice(self._head, self._head + self._size)
-        self.references.rows = self._features[window]
-        self.references.norms = self._norms[window]
+        self.rows = self._features[window]
+        self.norms = self._norms[window]
 
     def labels(self) -> np.ndarray:
         """Stored labels, oldest to newest (zero-copy view)."""

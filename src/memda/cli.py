@@ -119,8 +119,12 @@ def train_config_from(settings: dict) -> TrainConfig:
 
 
 def check_settings(settings: dict) -> TrainConfig:
-    """The run's validated ``TrainConfig``; for generated data, the mixture
-    and shift settings are checked too. Raises ``ConfigurationError``."""
+    """The run's validated ``TrainConfig``; every float setting must be
+    finite, and for generated data the mixture and shift settings are
+    checked too. Raises ``ConfigurationError``."""
+    for key, default in ALL_DEFAULTS.items():
+        if isinstance(default, float) and not math.isfinite(settings[key]):
+            raise ConfigurationError(f"key {key!r}: {settings[key]} is not finite")
     config = train_config_from(settings)
     config.validate()
     if not (settings["source_table"] or settings["target_table"]):
@@ -187,25 +191,22 @@ def save_model(path, model, settings: dict) -> None:
     np.savez(path, **arrays)
 
 
-def load_settings(path) -> dict:
-    """The resolved settings of the run that saved the model at ``path``."""
+def load_model(path):
+    """(model, settings): the saved networks and the resolved settings of
+    the run that saved them, read from ``path`` in one pass."""
     with np.load(path) as data:
         if "settings_json" not in data:
             raise DataFormatError(f"{path}: no saved run settings; retrain")
-        return resolve_settings(None, json.loads(data["settings_json"].item()))
-
-
-def load_model(path):
-    config = train_config_from(load_settings(path))
-    data = np.load(path)
-    num_classes = data["classifier.0"].shape[0]
-    model = init_state(config, int(data["input_dim"]), num_classes).model
-    for name, net in (("encoder", model.encoder),
-                      ("classifier", model.classifier),
-                      ("discriminator", model.discriminator)):
-        for i, p in enumerate(net.parameters()):
-            p[...] = data[f"{name}.{i}"]
-    return model, config
+        settings = resolve_settings(None, json.loads(data["settings_json"].item()))
+        config = train_config_from(settings)
+        num_classes = data["classifier.0"].shape[0]
+        model = init_state(config, int(data["input_dim"]), num_classes).model
+        for name, net in (("encoder", model.encoder),
+                          ("classifier", model.classifier),
+                          ("discriminator", model.discriminator)):
+            for i, p in enumerate(net.parameters()):
+                p[...] = data[f"{name}.{i}"]
+    return model, settings
 
 
 def write_manifest(outdir: Path, settings: dict) -> None:
@@ -245,6 +246,7 @@ def summary_dict(result: RunResult) -> dict:
 
 def cmd_gen_data(args) -> int:
     settings = resolve_settings(args.config, _collect_overrides(args))
+    check_settings(settings)
     source, target = _generate_datasets(settings)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -326,10 +328,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, _ = load_model(args.model)
+    model, saved = load_model(args.model)
     # the saved run's data, unless the config file or flags override it
     settings = resolve_settings(args.config, _collect_overrides(args),
-                                base=load_settings(args.model))
+                                base=saved)
     if settings["target_table"]:
         target = load_feature_table(settings["target_table"], TARGET)
     else:

@@ -10,20 +10,17 @@ sample consistency loss over pseudo-labeled positives. Every function here
 returns both the scalar value and the gradient w.r.t. its direct inputs;
 the trainer chains those through the networks.
 
-Reference features (memory bank or detached source batch) are constants in
-l_sc: gradients flow only to the target anchors. ``sample_consistency`` is
-the one consistency entry for both (``sample_consistency_memory`` adds the
-bank's gate). It runs on a ``similarity.ReferenceSet``: the bank's own set,
-whose rows were prepared once at enqueue in the layout of the bank's kernel
-(unit rows for cosine, raw rows and squared norms otherwise), or a
-transient set wrapping the source batch. Its score, work and mask matrices
-are reused by every call on the set: a ``ConsistencyResult``'s ``sim`` and
-the ``dsim`` of ``consistency_from_similarity`` alias those buffers until
-the next call on the same set, while ``value``, ``grad_targets``,
-``positives`` and ``per_anchor`` are the caller's own. Each step finds the
-positive pairs once, as ascending flat row-major indices into the score
-matrix; the loss, its gradient and the similarity diagnostics take them in
-that form only.
+The reference set of l_sc is always a ``bank.MemoryBank``: the memory bank
+itself, or, for the batch variant, a bank holding just the source batch.
+Its entries are constants in l_sc: gradients flow only to the target
+anchors. ``sample_consistency_memory`` is the one consistency entry. The
+bank's score, work and mask matrices are reused by every call on it: a
+``ConsistencyResult``'s ``sim`` and the ``dsim`` of
+``consistency_from_similarity`` alias those buffers until the next call on
+the same bank, while ``value``, ``grad_targets``, ``positives`` and
+``per_anchor`` are the caller's own. Each step finds the positive pairs
+once, as ascending flat row-major indices into the score matrix; the loss,
+its gradient and the similarity diagnostics take them in that form only.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import similarity as simmod
-from .errors import ConfigurationError, GatingError
+from .errors import ConfigurationError
 from .nn import PROB_EPS
 
 
@@ -123,7 +120,7 @@ class ConsistencyResult:
     grad_targets: np.ndarray        # d l_sc / d target features
     assignment: simmod.PseudoLabelAssignment | None
     positives: np.ndarray           # read by the diagnostics too
-    sim: np.ndarray                 # the scores used; aliases the set's buffer
+    sim: np.ndarray                 # the scores used; aliases the bank's buffer
     per_anchor: np.ndarray          # (n_targets,) individual -log terms
     skipped: int                    # anchors with an empty positive set
 
@@ -191,47 +188,33 @@ def consistency_from_similarity(sim, positives, tau: float, work=None):
     return float(per_anchor.sum() / n), work, per_anchor, skipped
 
 
-def sample_consistency(targets, references, ref_labels, tau: float,
-                       kind: simmod.SimilarityKind, k: int, num_classes: int,
-                       pseudo_labels=None) -> ConsistencyResult:
-    """The consistency loss of ``targets`` against constant references:
-    the bank's ``similarity.ReferenceSet`` or raw rows (the source batch).
+def sample_consistency_memory(targets, bank, tau: float, k: int,
+                              num_classes: int,
+                              pseudo_labels=None) -> ConsistencyResult:
+    """The consistency loss of ``targets`` against the constant entries of
+    ``bank``, a ``bank.MemoryBank``, under the bank's own kernel.
 
-    Pseudo-labels default to a kNN vote over the references; pass
-    ``pseudo_labels`` explicitly for the classifier-based ablation.
+    Pseudo-labels default to a kNN vote over the bank, whose positive set
+    is nonempty by construction (the winning class has at least one
+    neighbour in the bank); the vote raises ``GatingError`` for a bank of
+    fewer than k entries. Pass ``pseudo_labels`` explicitly for the
+    classifier-based ablation, which never reads k.
     """
-    refs = simmod.reference_set(references, kind)
-    sim = simmod.pairwise_similarity(targets, refs, kind)
-    _, work, mask = refs.buffers(sim.shape[0])
+    sim = simmod.pairwise_similarity(targets, bank)
+    _, work, mask = bank.buffers(sim.shape[0])
+    ref_labels = bank.labels()
     assignment = None
     if pseudo_labels is None:
         assignment = simmod.assign_pseudo_labels(sim, ref_labels, k,
                                                  num_classes, scratch=mask)
         pseudo_labels = assignment.labels
-    np.equal(np.asarray(ref_labels)[None, :],
-             np.asarray(pseudo_labels)[:, None], out=mask)
+    np.equal(ref_labels[None, :], np.asarray(pseudo_labels)[:, None], out=mask)
     positives = np.flatnonzero(mask)
     value, dsim, per_anchor, skipped = consistency_from_similarity(
         sim, positives, tau, work=work)
-    grad = simmod.pairwise_similarity_vjp(targets, refs, kind, dsim, sim)
+    grad = simmod.pairwise_similarity_vjp(targets, bank, dsim, sim)
     return ConsistencyResult(value, grad, assignment, positives, sim,
                              per_anchor, skipped)
-
-
-def sample_consistency_memory(targets, bank, tau: float,
-                              kind: simmod.SimilarityKind, k: int,
-                              num_classes: int,
-                              pseudo_labels=None) -> ConsistencyResult:
-    """Memory form: the bank replaces the source batch as the reference set.
-
-    The bank's own reference set is used as is; ``kind`` must be the kernel
-    the bank was built for. With kNN pseudo-labels the positive set is
-    nonempty by construction (the winning class has at least one neighbour
-    in the bank)."""
-    if len(bank) < k:
-        raise GatingError(f"bank holds {len(bank)} entries, k={k}")
-    return sample_consistency(targets, bank.references, bank.labels(), tau,
-                              kind, k, num_classes, pseudo_labels)
 
 
 def total_loss(l_sup: float, l_adv: float, l_sc: float,

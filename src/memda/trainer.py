@@ -207,13 +207,15 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
     Source and target rows are stacked into one batch, so each network runs
     one forward and one backward; the first ``len(x_source)`` rows of every
     activation are the source's. ``sc_active`` enables the consistency
-    branch (the trainer gates it on bootstrap and bank fill). ``components``
-    restricts which objective terms contribute, which the gradient-check
-    harness uses to isolate one term at a time.
+    branch (the trainer gates it on bootstrap and bank fill). Its reference
+    set is ``bank`` in memory mode; in batch mode it is a fresh bank of
+    capacity ``len(x_source)`` holding the detached source features, and
+    ``bank`` is not read. ``components`` restricts which objective terms
+    contribute, which the gradient-check harness uses to isolate one term
+    at a time.
     """
     if lambda_adv is None:
         lambda_adv = config.lambda_adv
-    kind = config.similarity_kind
     adversarial = "adv" in components and lambda_adv > 0
     if not adversarial:  # the discriminator's backward will not write
         model.discriminator.zero_grads()
@@ -263,14 +265,12 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
         pseudo = None
         if config.pseudo_labels == CLASSIFIER:
             pseudo = np.argmax(g_t, axis=1)
-        if config.consistency == MEMORY:
-            consistency = losses.sample_consistency_memory(
-                f_t, bank, config.tau, kind, config.k, model.num_classes,
-                pseudo_labels=pseudo)
-        else:
-            consistency = losses.sample_consistency(
-                f_t, f_s, np.asarray(y_source), config.tau, kind,
-                config.k, model.num_classes, pseudo_labels=pseudo)
+        if config.consistency == BATCH:
+            bank = MemoryBank(ns, f.shape[1], config.similarity_kind)
+            bank.enqueue(f_s, y_source)
+        consistency = losses.sample_consistency_memory(
+            f_t, bank, config.tau, config.k, model.num_classes,
+            pseudo_labels=pseudo)
         report.l_sc = consistency.value
         if config.lambda_sc > 0:
             df[ns:] += config.lambda_sc * consistency.grad_targets

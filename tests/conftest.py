@@ -17,8 +17,8 @@ from memda.nn import (
 )
 from memda.trainer import (
     ALL_COMPONENTS,
+    BATCH,
     CLASSIFIER,
-    MEMORY,
     OFF,
     TrainConfig,
     forward_backward,
@@ -53,6 +53,16 @@ def brute_force_knn(sim_row, labels, k, num_classes):
     return min(tied), nbrs
 
 
+def filled_bank(rows, kind, labels=None):
+    """A bank of capacity ``len(rows)`` holding exactly ``rows``, oldest
+    first, under the kernel ``kind``; labels default to class 0."""
+    rows = np.asarray(rows, dtype=np.float64)
+    bank = MemoryBank(len(rows), rows.shape[1], kind)
+    bank.enqueue(rows, np.zeros(len(rows), dtype=np.int64)
+                 if labels is None else labels)
+    return bank
+
+
 def two_pass_forward_backward(model, x_source, y_source, x_target, config,
                               bank=None, sc_active=False, lambda_adv=None,
                               components=ALL_COMPONENTS):
@@ -60,7 +70,9 @@ def two_pass_forward_backward(model, x_source, y_source, x_target, config,
     on the source batch and once on the target batch, forward and backward,
     and the domains' gradients are kept apart until the parameters sum them.
     Each backward overwrites its network's gradients, so the harness adds
-    the two calls' gradients itself. Returns the loss report."""
+    the two calls' gradients itself. Batch-mode consistency scores against a
+    bank of the source batch, as the trainer does. Returns the loss
+    report."""
     if lambda_adv is None:
         lambda_adv = config.lambda_adv
     for net in (model.encoder, model.classifier, model.discriminator):
@@ -105,15 +117,11 @@ def two_pass_forward_backward(model, x_source, y_source, x_target, config,
     if "sc" in components and sc_active and config.consistency != OFF:
         pseudo = (np.argmax(g_t, axis=1)
                   if config.pseudo_labels == CLASSIFIER else None)
-        kind = config.similarity_kind
-        if config.consistency == MEMORY:
-            cons = losses.sample_consistency_memory(
-                f_t, bank, config.tau, kind, config.k, model.num_classes,
-                pseudo_labels=pseudo)
-        else:
-            cons = losses.sample_consistency(
-                f_t, f_s, np.asarray(y_source), config.tau, kind, config.k,
-                model.num_classes, pseudo_labels=pseudo)
+        if config.consistency == BATCH:
+            bank = filled_bank(f_s, config.similarity_kind, y_source)
+        cons = losses.sample_consistency_memory(
+            f_t, bank, config.tau, config.k, model.num_classes,
+            pseudo_labels=pseudo)
         report.l_sc = cons.value
         if config.lambda_sc > 0:
             df_t += config.lambda_sc * cons.grad_targets

@@ -16,6 +16,7 @@ import pytest
 from conftest import (
     brute_force_knn,
     component_closure,
+    filled_bank,
     finite_difference_check,
     naive_consistency,
     tiny_problem,
@@ -132,16 +133,14 @@ def test_criterion_2_consistency_oracle():
 
 
 def test_criterion_3_analytic_spot_values():
-    bank = MemoryBank(8, 2, COS)
-    bank.enqueue(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 1])
+    bank = filled_bank([[1.0, 0.0], [0.0, 1.0]], COS, [0, 1])
     targets = np.array([[1.0, 0.0]])
     errs = []
     for tau in (1.0, 0.5):
-        got = sample_consistency_memory(targets, bank, tau, COS, 1, 2).value
+        got = sample_consistency_memory(targets, bank, tau, 1, 2).value
         errs.append(abs(got - float(np.log1p(np.exp(-1.0 / tau)))))
-    one_class = MemoryBank(8, 2, COS)
-    one_class.enqueue(np.array([[1.0, 0.0], [0.5, 0.5]]), [1, 1])
-    zero = sample_consistency_memory(targets, one_class, 0.07, COS, 1, 2).value
+    one_class = filled_bank([[1.0, 0.0], [0.5, 0.5]], COS, [1, 1])
+    zero = sample_consistency_memory(targets, one_class, 0.07, 1, 2).value
     ok = max(errs) <= 1e-9 and zero == 0.0
     assert verdict(3, "analytic spot values", ok,
                    f"softplus errs {errs[0]:.1e}/{errs[1]:.1e}, "
@@ -190,14 +189,14 @@ def test_criterion_5_fifo_and_momentum():
                          [i % 5 for i in ids])
             oracle.extend(ids)
             kept = oracle[-capacity:]
-            ok &= list(bank.references.rows[:, 0]) == [float(i) for i in kept]
+            ok &= list(bank.rows[:, 0]) == [float(i) for i in kept]
             ok &= list(bank.labels()) == [i % 5 for i in kept]
             ok &= len(bank) <= capacity
 
     bank4 = MemoryBank(4, 1, EUC)
     bank4.enqueue(np.array([[1.0], [2.0], [3.0]]), [0, 0, 0])
     bank4.enqueue(np.array([[4.0], [5.0], [6.0]]), [0, 0, 0])
-    ok &= list(bank4.references.rows[:, 0]) == [3.0, 4.0, 5.0, 6.0]
+    ok &= list(bank4.rows[:, 0]) == [3.0, 4.0, 5.0, 6.0]
 
     fast = build_model(input_dim=3, embed_dim=4, num_classes=2, seed=1).encoder
     slow = build_model(input_dim=3, embed_dim=4, num_classes=2, seed=2).encoder

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import filled_bank
 from memda.bank import MemoryBank, momentum_update
 from memda.errors import ConfigurationError, DegenerateInputError
 from memda.nn import build_model, encoder_forward
@@ -30,7 +31,7 @@ def test_new_bank_is_empty():
         bank = MemoryBank(capacity, 3, EUC)
         assert len(bank) == 0
         assert bank.capacity == capacity
-        assert bank.references.rows.shape == (0, 3)
+        assert bank.rows.shape == (0, 3)
         assert len(bank.labels()) == 0
 
 
@@ -43,7 +44,7 @@ def test_fifo_example_capacity_four():
     bank = MemoryBank(4, 3, EUC)
     bank.enqueue(ids_as_features([1, 2, 3]), [0, 0, 0])
     bank.enqueue(ids_as_features([4, 5, 6]), [1, 1, 1])
-    assert list(bank.references.rows[:, 0]) == [3.0, 4.0, 5.0, 6.0]
+    assert list(bank.rows[:, 0]) == [3.0, 4.0, 5.0, 6.0]
     assert list(bank.labels()) == [0, 1, 1, 1]
 
 
@@ -57,7 +58,7 @@ def test_full_batch_twice_keeps_second():
     bank = MemoryBank(3, 3, EUC)
     bank.enqueue(ids_as_features([1, 2, 3]), [0, 1, 2])
     bank.enqueue(ids_as_features([4, 5, 6]), [3, 4, 5])
-    assert list(bank.references.rows[:, 0]) == [4.0, 5.0, 6.0]
+    assert list(bank.rows[:, 0]) == [4.0, 5.0, 6.0]
     assert list(bank.labels()) == [3, 4, 5]
 
 
@@ -86,7 +87,7 @@ def test_fifo_law_against_list_oracle(capacity, batch_sizes):
         oracle.extend(ids)
         kept = oracle[-capacity:]
         assert len(bank) == len(kept) <= capacity
-        assert list(bank.references.rows[:, 0]) == [float(i) for i in kept]
+        assert list(bank.rows[:, 0]) == [float(i) for i in kept]
         assert list(bank.labels()) == [i % 7 for i in kept]
 
 
@@ -96,11 +97,11 @@ def test_stored_features_are_detached_copies():
     f, _ = encoder_forward(x, model.encoder)
     bank = MemoryBank(16, 4, EUC)
     bank.enqueue(f, np.zeros(5, dtype=int))
-    before = bank.references.rows.copy()
+    before = bank.rows.copy()
     for p in model.encoder.parameters():
         p += 10.0
     f[...] = -1.0  # mutating the enqueued array must not leak either
-    assert np.array_equal(bank.references.rows, before)
+    assert np.array_equal(bank.rows, before)
 
 
 def test_bank_ready_thresholds():
@@ -165,15 +166,15 @@ def test_momentum_update_shape_mismatch():
 def test_oversized_batch_keeps_newest_entries():
     bank = MemoryBank(4, 3, EUC)
     bank.enqueue(ids_as_features(range(10)), list(range(10)))
-    assert list(bank.references.rows[:, 0]) == [6.0, 7.0, 8.0, 9.0]
+    assert list(bank.rows[:, 0]) == [6.0, 7.0, 8.0, 9.0]
     assert len(bank) == 4
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
 def test_bank_rows_score_bitwise_like_raw_rows(kind):
     # capacity 40 with batches of 12 wraps the ring twice; after every
-    # enqueue the bank's own rows must give the very bits the kernels give
-    # on the raw rows it holds
+    # enqueue the ring's window must give the very bits that a fresh,
+    # unwrapped bank holding exactly the same rows gives
     rng = np.random.default_rng(11)
     bank = MemoryBank(40, 8, kind)
     raw = np.zeros((0, 8))
@@ -181,27 +182,27 @@ def test_bank_rows_score_bitwise_like_raw_rows(kind):
         batch = rng.normal(size=(12, 8))
         bank.enqueue(batch, rng.integers(0, 4, size=12))
         raw = np.vstack([raw, batch])[-40:]
+        fresh = filled_bank(raw, kind)
         targets = rng.normal(size=(6, 8))
         up = rng.normal(size=(6, len(raw)))
-        want = pairwise_similarity(targets, raw, kind).copy()
-        got = pairwise_similarity(targets, bank.references, kind)
-        assert len(bank.references) == len(raw)
+        want = pairwise_similarity(targets, fresh)
+        got = pairwise_similarity(targets, bank)
+        assert len(bank) == len(raw)
         assert np.array_equal(got, want)
-        want_grad = pairwise_similarity_vjp(targets, raw, kind, up, want)
-        got_grad = pairwise_similarity_vjp(targets, bank.references, kind,
-                                           up, sim=got)
+        want_grad = pairwise_similarity_vjp(targets, fresh, up, want)
+        got_grad = pairwise_similarity_vjp(targets, bank, up, sim=got)
         assert np.array_equal(got_grad, want_grad)
 
 
 def test_cosine_bank_stores_unit_rows_and_norms():
     bank = MemoryBank(4, 2, SimilarityKind(COSINE))
     bank.enqueue(np.array([[3.0, 4.0], [0.0, 2.0]]), [0, 1])
-    assert np.allclose(bank.references.rows, [[0.6, 0.8], [0.0, 1.0]])
-    assert np.array_equal(bank.references.norms, [5.0, 2.0])
+    assert np.allclose(bank.rows, [[0.6, 0.8], [0.0, 1.0]])
+    assert np.array_equal(bank.norms, [5.0, 2.0])
     raw = MemoryBank(4, 2, SimilarityKind(GAUSSIAN))
     raw.enqueue(np.array([[3.0, 4.0], [0.0, 2.0]]), [0, 1])
-    assert np.array_equal(raw.references.rows, [[3.0, 4.0], [0.0, 2.0]])
-    assert np.array_equal(raw.references.norms, [25.0, 4.0])
+    assert np.array_equal(raw.rows, [[3.0, 4.0], [0.0, 2.0]])
+    assert np.array_equal(raw.norms, [25.0, 4.0])
 
 
 def test_zero_norm_enqueued_row_raises_with_its_index():
@@ -213,17 +214,3 @@ def test_zero_norm_enqueued_row_raises_with_its_index():
         bank.enqueue(batch, [0, 1, 2, 3])
     assert len(bank) == 2  # the rejected batch left the ring untouched
     assert list(bank.labels()) == [0, 1]
-
-
-def test_cosine_bank_refuses_other_kernels():
-    bank = MemoryBank(8, 2, SimilarityKind(COSINE))
-    bank.enqueue(np.ones((2, 2)), [0, 1])
-    with pytest.raises(ConfigurationError, match="unit rows"):
-        pairwise_similarity(np.ones((1, 2)), bank.references,
-                            SimilarityKind(EUCLIDEAN))
-    # and a bank of raw rows serves no cosine kernel
-    raw = MemoryBank(8, 2, SimilarityKind(GAUSSIAN))
-    raw.enqueue(np.ones((2, 2)), [0, 1])
-    with pytest.raises(ConfigurationError, match="raw rows"):
-        pairwise_similarity(np.ones((1, 2)), raw.references,
-                            SimilarityKind(COSINE))

@@ -134,12 +134,15 @@ def test_gen_data_zero_rotation_moments_match(tmp_path):
     assert np.max(gap) < 0.2  # independent draws of the same distribution
 
 
-@pytest.mark.parametrize("noise", ["-1", "nan"])
-def test_gen_data_rejects_a_bad_shift_noise(tmp_path, capsys, noise):
+@pytest.mark.parametrize("key,value", [
+    ("shift_noise", "-1"), ("shift_noise", "nan"),
+    ("rotation_deg", "nan"), ("class_spread", "inf"),
+], ids=["-1", "nan", "rotation_deg-nan", "class_spread-inf"])
+def test_gen_data_rejects_a_bad_shift_noise(tmp_path, capsys, key, value):
     rc = main(["gen-data", "--out", str(tmp_path / "out" / "d"),
-               "--shift-noise", noise])
+               "--" + key.replace("_", "-"), value])
     assert rc == 2
-    assert "shift_noise" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -202,6 +205,11 @@ def test_train_unknown_key_fails_with_exit_2(tmp_path):
     ["--classes", "0"],                     # a data key
     ["--k", "0"],                           # a trainer key
     ["--source-table", "bad.csv", "--target-table", "bad.csv"],
+    ["--rotation-deg", "nan"],              # non-finite float settings
+    ["--lambda-adv", "nan"],
+    ["--lr-beta", "nan"],
+    ["--class-spread", "nan"],
+    ["--tau", "inf"],
 ])
 def test_train_with_bad_settings_writes_nothing(tmp_path, monkeypatch, flags):
     monkeypatch.chdir(tmp_path)
@@ -403,6 +411,21 @@ def test_eval_scores_the_saved_runs_data(tmp_path, capsys):
     assert "encoder expects width 5, got 6" in capsys.readouterr().err
 
 
+def test_eval_reads_the_model_file_once(tmp_path, capsys, monkeypatch):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--outdir", str(run_dir)] + tiny_flags()) == 0
+    opened = []
+    load = np.load
+
+    def counting_load(*args, **kwargs):
+        opened.append(args[0])
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(np, "load", counting_load)
+    assert main(["eval", "--model", str(run_dir / "model.npz")]) == 0
+    assert len(opened) == 1
+
+
 def test_eval_rejects_a_model_without_settings(tmp_path, capsys):
     np.savez(tmp_path / "bare.npz", input_dim=np.array(5))
     assert main(["eval", "--model", str(tmp_path / "bare.npz")]) == 2
@@ -412,9 +435,9 @@ def test_eval_rejects_a_model_without_settings(tmp_path, capsys):
 def test_model_round_trip(tmp_path):
     settings = resolve_settings(None, {**TINY, "seed": "2"})
     trained = run_from_settings(settings, tmp_path / "run").model
-    model, config = load_model(tmp_path / "run" / "model.npz")
-    assert config == train_config_from(settings)
-    assert config.seed == 2
+    model, saved = load_model(tmp_path / "run" / "model.npz")
+    assert saved == settings
+    assert train_config_from(saved).seed == 2
     assert model.encoder.n_in == 5
     assert model.num_classes == 5
     for name in ("encoder", "classifier", "discriminator"):

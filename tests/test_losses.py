@@ -5,11 +5,11 @@ import pytest
 
 from conftest import (
     component_closure,
+    filled_bank,
     finite_difference_check,
     naive_consistency,
     tiny_problem,
 )
-from memda.bank import MemoryBank
 from memda.errors import ConfigurationError, GatingError
 from memda.losses import (
     LSE_SPAN,
@@ -17,13 +17,12 @@ from memda.losses import (
     discriminator_loss,
     multilinear_map,
     multilinear_map_vjp,
-    sample_consistency,
     sample_consistency_memory,
     supervised_loss,
     total_loss,
 )
 from memda.nn import PROB_EPS
-from memda.similarity import COSINE, GAUSSIAN, SimilarityKind, pairwise_similarity
+from memda.similarity import COSINE, GAUSSIAN, SimilarityKind
 
 COS = SimilarityKind(COSINE)
 
@@ -176,17 +175,17 @@ def test_discriminator_loss_gradients():
 
 
 def two_entry_instance():
-    bank = MemoryBank(8, 2, COS)
-    bank.enqueue(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 1])
+    bank = filled_bank([[1.0, 0.0], [0.0, 1.0]], COS, [0, 1])
     targets = np.array([[1.0, 0.0]])
     return targets, bank
 
 
 def test_all_positive_source_batch_gives_zero():
     targets = np.random.default_rng(0).normal(size=(4, 3))
-    sources = np.random.default_rng(1).normal(size=(6, 3))
-    res = sample_consistency(targets, sources, [2] * 6, tau=0.07,
-                             kind=COS, k=3, num_classes=3)
+    sources = filled_bank(np.random.default_rng(1).normal(size=(6, 3)), COS,
+                          [2] * 6)
+    res = sample_consistency_memory(targets, sources, tau=0.07, k=3,
+                                    num_classes=3)
     assert res.value == 0.0
     assert np.all(res.per_anchor == 0.0)
 
@@ -194,25 +193,24 @@ def test_all_positive_source_batch_gives_zero():
 def test_two_entry_instance_is_softplus():
     targets, bank = two_entry_instance()
     for tau in (1.0, 0.5):
-        res = sample_consistency_memory(targets, bank, tau, COS, k=1, num_classes=2)
+        res = sample_consistency_memory(targets, bank, tau, k=1, num_classes=2)
         # verify with the direct-summation oracle first, then the closed form
         mask = np.zeros(res.sim.size, dtype=bool)
         mask[res.positives] = True
         oracle = naive_consistency(res.sim, mask.reshape(res.sim.shape), tau)
         assert res.value == pytest.approx(oracle, abs=1e-12)
         assert res.value == pytest.approx(np.log1p(np.exp(-1.0 / tau)), abs=1e-9)
-    res1 = sample_consistency_memory(targets, bank, 1.0, COS, 1, 2)
+    res1 = sample_consistency_memory(targets, bank, 1.0, 1, 2)
     assert res1.value == pytest.approx(0.31326, abs=1e-5)
-    res05 = sample_consistency_memory(targets, bank, 0.5, COS, 1, 2)
+    res05 = sample_consistency_memory(targets, bank, 0.5, 1, 2)
     assert res05.value == pytest.approx(0.12693, abs=1e-5)
 
 
 def test_all_one_class_bank_gives_zero_per_anchor():
     rng = np.random.default_rng(7)
-    bank = MemoryBank(32, 4, COS)
-    bank.enqueue(rng.normal(size=(20, 4)), [3] * 20)
+    bank = filled_bank(rng.normal(size=(20, 4)), COS, [3] * 20)
     targets = rng.normal(size=(5, 4))
-    res = sample_consistency_memory(targets, bank, 0.07, COS, k=5, num_classes=4)
+    res = sample_consistency_memory(targets, bank, 0.07, k=5, num_classes=4)
     assert np.all(res.per_anchor == 0.0)
     assert res.value == 0.0
 
@@ -304,10 +302,11 @@ def test_work_buffer_must_be_contiguous():
 
 def test_all_anchors_skipped_flag():
     targets = np.random.default_rng(0).normal(size=(2, 3))
-    sources = np.random.default_rng(1).normal(size=(5, 3))
-    res = sample_consistency(targets, sources, [1] * 5, tau=1.0, kind=COS,
-                             k=2, num_classes=3,
-                             pseudo_labels=np.array([2, 2]))
+    sources = filled_bank(np.random.default_rng(1).normal(size=(5, 3)), COS,
+                          [1] * 5)
+    res = sample_consistency_memory(targets, sources, tau=1.0, k=2,
+                                    num_classes=3,
+                                    pseudo_labels=np.array([2, 2]))
     assert res.value == 0.0
     assert res.skipped == 2
 
@@ -324,20 +323,29 @@ def test_consistency_nonnegative_and_zero_iff_full_mass():
 
 
 def test_gating_violation():
-    bank = MemoryBank(16, 2, COS)
-    bank.enqueue(np.ones((2, 2)), [0, 1])
+    # the kNN vote needs k entries; it raises for the smaller bank
+    bank = filled_bank(np.ones((2, 2)), COS, [0, 1])
     with pytest.raises(GatingError):
-        sample_consistency_memory(np.ones((1, 2)), bank, 0.07, COS, k=5,
+        sample_consistency_memory(np.ones((1, 2)), bank, 0.07, k=5,
                                   num_classes=2)
+
+
+def test_classifier_labels_need_no_k_entries():
+    # classifier pseudo-labels never read k, so a bank smaller than k serves
+    bank = filled_bank([[1.0, 0.0], [0.0, 1.0]], COS, [0, 1])
+    res = sample_consistency_memory(np.array([[1.0, 0.2]]), bank, 0.07, k=5,
+                                    num_classes=2, pseudo_labels=np.array([0]))
+    assert np.isfinite(res.value) and res.value > 0.0
+    assert np.all(np.isfinite(res.grad_targets))
 
 
 def test_bank_features_are_constants():
     # perturbing the bank after the pass must not change reported gradients
     rng = np.random.default_rng(23)
-    bank = MemoryBank(16, 3, COS)
-    bank.enqueue(rng.normal(size=(10, 3)), rng.integers(0, 3, size=10))
+    bank = filled_bank(rng.normal(size=(10, 3)), COS,
+                       rng.integers(0, 3, size=10))
     targets = rng.normal(size=(4, 3))
-    res = sample_consistency_memory(targets, bank, 0.3, COS, k=3, num_classes=3)
+    res = sample_consistency_memory(targets, bank, 0.3, k=3, num_classes=3)
     grad_before = res.grad_targets.copy()
     bank._features += 100.0
     assert np.array_equal(res.grad_targets, grad_before)
@@ -349,14 +357,14 @@ def test_successive_calls_keep_earlier_value_and_gradient(kind):
     # the bank's score and work buffers are reused by the next call; what a
     # result owns (value, grad_targets, per_anchor) must not move with them
     rng = np.random.default_rng(31)
-    bank = MemoryBank(64, 5, kind)
-    bank.enqueue(rng.normal(size=(64, 5)), rng.integers(0, 4, size=64))
+    bank = filled_bank(rng.normal(size=(64, 5)), kind,
+                       rng.integers(0, 4, size=64))
     first = sample_consistency_memory(rng.normal(size=(6, 5)), bank, 0.2,
-                                      kind, k=5, num_classes=4)
+                                      k=5, num_classes=4)
     value, grad = first.value, first.grad_targets.copy()
     per_anchor = first.per_anchor.copy()
     second = sample_consistency_memory(rng.normal(size=(6, 5)), bank, 0.2,
-                                       kind, k=5, num_classes=4)
+                                       k=5, num_classes=4)
     assert second.value != value
     assert first.value == value
     assert np.array_equal(first.grad_targets, grad)
@@ -368,7 +376,7 @@ def test_temperature_monotone_on_two_entry_instance():
     targets, bank = two_entry_instance()
     taus = [1.0, 0.5, 0.25, 0.07]
     values = [
-        sample_consistency_memory(targets, bank, t, COS, 1, 2).value for t in taus
+        sample_consistency_memory(targets, bank, t, 1, 2).value for t in taus
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -408,8 +416,8 @@ def test_batch_variant_gradients_pass_fd_check():
     for seed in range(5):
         model, cfg, x_s, y_s, x_t, _ = tiny_problem(seed)
         rng = np.random.default_rng(seed + 100)
-        refs = rng.normal(size=(12, cfg.embed_dim))
-        ref_labels = rng.integers(0, 5, size=12)
+        refs = filled_bank(rng.normal(size=(12, cfg.embed_dim)), COS,
+                           rng.integers(0, 5, size=12))
         params = model.encoder.parameters()
 
         def loss_fn():
@@ -417,8 +425,7 @@ def test_batch_variant_gradients_pass_fd_check():
 
             model.encoder.zero_grads()
             f_t, tape = encoder_forward(x_t, model.encoder)
-            res = sample_consistency(f_t, refs, ref_labels, cfg.tau,
-                                     COS, cfg.k, 5)
+            res = sample_consistency_memory(f_t, refs, cfg.tau, cfg.k, 5)
             model.encoder.backward(tape, res.grad_targets)
             return res.value, [g.copy() for g in model.encoder.gradients()]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from memda.bank import MemoryBank
+from conftest import filled_bank
 from memda.errors import ConfigurationError
 from memda.metrics import (
     accuracy,
@@ -57,10 +57,9 @@ def test_mean_similarity_modes():
 
 
 def test_mean_similarity_all_identical_anchors():
-    bank = MemoryBank(8, 2, COS)
-    bank.enqueue(np.array([[2.0, 0.0], [4.0, 0.0]]), [1, 1])
+    bank = filled_bank([[2.0, 0.0], [4.0, 0.0]], COS, [1, 1])
     targets = np.array([[1.0, 0.0]])
-    sim = pairwise_similarity(targets, bank.references, COS)
+    sim = pairwise_similarity(targets, bank)
     assignment = assign_pseudo_labels(sim, bank.labels(), 1, 2)
     pos = bank.labels()[None, :] == assignment.labels[:, None]
     averaged, _ = mean_similarity_both(sim, np.flatnonzero(pos))

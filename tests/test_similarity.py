@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_knn
+from conftest import brute_force_knn, filled_bank
+from memda.bank import MemoryBank
 from memda.errors import ConfigurationError, DegenerateInputError, GatingError
 from memda.similarity import (
     COSINE,
     EUCLIDEAN,
     GAUSSIAN,
-    ReferenceSet,
     SimilarityKind,
     assign_pseudo_labels,
     pairwise_similarity,
@@ -37,7 +37,7 @@ def pair_oracle(a, b, kind):
 def score(a, b, kind):
     """Entry (0, 0) of the score matrix of one target against one reference."""
     return pairwise_similarity(np.array([a], dtype=float),
-                               np.array([b], dtype=float), kind)[0, 0]
+                               filled_bank([b], kind))[0, 0]
 
 
 def knn_row(sim_row, labels, k, num_classes):
@@ -49,7 +49,8 @@ def knn_row(sim_row, labels, k, num_classes):
 
 def test_cosine_identical_directions():
     t = np.array([[1.0, 0.0], [2.0, 2.0], [-3.0, 1.0]])
-    m = pairwise_similarity(t, np.array([[5.0, 0.0], [0.5, 0.5], [-6.0, 2.0]]), COS)
+    refs = filled_bank([[5.0, 0.0], [0.5, 0.5], [-6.0, 2.0]], COS)
+    m = pairwise_similarity(t, refs)
     assert np.diag(m) == pytest.approx([1.0, 1.0, 1.0], abs=1e-15)
 
 
@@ -79,23 +80,23 @@ def test_gaussian_sigma_must_be_positive():
 def test_cosine_zero_vector_is_degenerate():
     with pytest.raises(DegenerateInputError, match="target vector at row 0"):
         score([0.0, 0.0], [1.0, 0.0], COS)
-    with pytest.raises(DegenerateInputError, match="reference vector at row 1"):
-        pairwise_similarity(np.ones((1, 2)), np.array([[1.0, 0.0], [0.0, 0.0]]), COS)
+    with pytest.raises(DegenerateInputError, match="enqueued vector at row 1"):
+        filled_bank([[1.0, 0.0], [0.0, 0.0]], COS)
     targets = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(DegenerateInputError, match="target vector at row 1"):
-        pairwise_similarity(targets, np.eye(2), COS)
+        pairwise_similarity(targets, filled_bank(np.eye(2), COS))
 
 
 def test_pairwise_single_identical_pair():
-    m = pairwise_similarity(np.array([[0.4, 0.3]]), np.array([[0.4, 0.3]]), COS)
+    m = pairwise_similarity(np.array([[0.4, 0.3]]), filled_bank([[0.4, 0.3]], COS))
     assert m.shape == (1, 1)
     assert m[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pairwise_orthonormal_entries():
     targets = np.array([[1.0, 0.0]])
-    refs = np.array([[1.0, 0.0], [0.0, 1.0]])
-    row = pairwise_similarity(targets, refs, COS)[0]
+    refs = filled_bank([[1.0, 0.0], [0.0, 1.0]], COS)
+    row = pairwise_similarity(targets, refs)[0]
     assert row == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
@@ -104,7 +105,7 @@ def test_pairwise_matches_per_pair_oracle(kind):
     rng = np.random.default_rng(3)
     t = rng.normal(size=(4, 5))
     r = rng.normal(size=(16, 5))
-    m = pairwise_similarity(t, r, kind)
+    m = pairwise_similarity(t, filled_bank(r, kind))
     for j in range(4):
         for i in range(16):
             assert m[j, i] == pytest.approx(pair_oracle(t[j], r[i], kind), abs=1e-12)
@@ -112,7 +113,7 @@ def test_pairwise_matches_per_pair_oracle(kind):
 
 def test_empty_reference_set_rejected():
     with pytest.raises(ConfigurationError):
-        pairwise_similarity(np.ones((1, 2)), np.zeros((0, 2)), EUC)
+        pairwise_similarity(np.ones((1, 2)), MemoryBank(4, 2, EUC))
 
 
 def test_knn_k1_takes_most_similar():
@@ -230,7 +231,7 @@ def test_knn_candidate_mask_goes_to_the_sets_scratch():
     # recipe shapes: 32 anchors against a 4096-entry bank of 50 classes; a
     # fresh 32 x 4096 candidate mask alone would take 128 KiB
     rng = np.random.default_rng(8)
-    refs = ReferenceSet(True, np.eye(4096, 8), np.ones(4096))
+    refs = filled_bank(np.ones((4096, 8)), COS)
     score, _, mask = refs.buffers(32)
     score[...] = rng.uniform(-1.0, 1.0, size=score.shape)
     labels = rng.integers(0, 50, size=4096)
@@ -256,8 +257,8 @@ def test_cosine_scale_invariance(seed):
     g = rng.normal(size=(5, 4)) + 0.1
     a = rng.uniform(0.1, 10.0, size=(3, 1))
     b = rng.uniform(0.1, 10.0, size=(5, 1))
-    base = pairwise_similarity(f, g, COS)
-    scaled = pairwise_similarity(a * f, b * g, COS)
+    base = pairwise_similarity(f, filled_bank(g, COS))
+    scaled = pairwise_similarity(a * f, filled_bank(b * g, COS))
     assert np.max(np.abs(base - scaled)) <= 1e-12
 
 
@@ -267,9 +268,10 @@ def test_knn_invariant_to_positive_rescaling():
     r = rng.normal(size=(25, 6))
     labels = rng.integers(0, 5, size=25)
     scales = rng.uniform(0.2, 5.0, size=(25, 1))
-    base = assign_pseudo_labels(pairwise_similarity(t, r, COS), labels, 5, 5)
+    base = assign_pseudo_labels(
+        pairwise_similarity(t, filled_bank(r, COS)), labels, 5, 5)
     scaled = assign_pseudo_labels(
-        pairwise_similarity(2.5 * t, scales * r, COS), labels, 5, 5)
+        pairwise_similarity(2.5 * t, filled_bank(scales * r, COS)), labels, 5, 5)
     assert np.array_equal(base.labels, scaled.labels)
 
 
@@ -277,17 +279,16 @@ def test_knn_invariant_to_positive_rescaling():
 def test_pairwise_vjp_matches_finite_differences(kind):
     rng = np.random.default_rng(21)
     t = rng.normal(size=(3, 4))
-    r = rng.normal(size=(7, 4))
+    r = filled_bank(rng.normal(size=(7, 4)), kind)
     up = rng.normal(size=(3, 7))
-    grad = pairwise_similarity_vjp(t, r, kind, up,
-                                   pairwise_similarity(t, r, kind))
+    grad = pairwise_similarity_vjp(t, r, up, pairwise_similarity(t, r))
     h = 1e-6
     for j in range(3):
         for d in range(4):
             t[j, d] += h
-            up_val = float((up * pairwise_similarity(t, r, kind)).sum())
+            up_val = float((up * pairwise_similarity(t, r)).sum())
             t[j, d] -= 2 * h
-            dn_val = float((up * pairwise_similarity(t, r, kind)).sum())
+            dn_val = float((up * pairwise_similarity(t, r)).sum())
             t[j, d] += h
             numeric = (up_val - dn_val) / (2 * h)
             assert grad[j, d] == pytest.approx(numeric, abs=5e-8)
