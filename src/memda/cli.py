@@ -6,6 +6,12 @@ Settings (``check_settings``) and data are checked before anything is
 written; a run then writes its manifest before training starts, then a
 per-iteration metrics CSV, a summary report and the trained model.
 
+``model.npz`` holds exactly six arrays: ``encoder``, ``classifier`` and
+``discriminator``, each that network's flat parameter vector (every dense
+layer's weights, then its bias, in layer order); ``settings_json``, the
+run's resolved settings; and ``input_dim`` and ``num_classes``, from which
+``load_model`` rebuilds the networks before it copies the vectors in.
+
 Exit codes: 0 success; 2 bad configuration, data file or missing file;
 3 numerical failure (non-finite loss, logits or gradient); 4 degenerate
 input (e.g. a zero-norm feature for the cosine kernel); 5 gating violation.
@@ -62,6 +68,7 @@ MIXTURE_KEYS = ("classes", "input_dim", "per_class", "class_spread", "within_std
 TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
 ALL_DEFAULTS = {**TRAIN_DEFAULTS, **DATA_DEFAULTS}
 
+NETWORKS = ("encoder", "classifier", "discriminator")  # model.npz vectors
 ABLATE_AXES = ("bank_capacity", "tau", "k", "classes", "lambda_sc",
                "pseudo_labels", "similarity")
 
@@ -179,33 +186,33 @@ def write_metrics_csv(path, history) -> None:
 
 
 def save_model(path, model, settings: dict) -> None:
-    """The networks' parameters plus the run's resolved settings."""
-    arrays = {}
-    for name, net in (("encoder", model.encoder),
-                      ("classifier", model.classifier),
-                      ("discriminator", model.discriminator)):
-        for i, p in enumerate(net.parameters()):
-            arrays[f"{name}.{i}"] = p
-    arrays["settings_json"] = np.array(json.dumps(settings, sort_keys=True))
-    arrays["input_dim"] = np.array(model.encoder.n_in)
-    np.savez(path, **arrays)
+    """The ``model.npz`` layout of the module docstring."""
+    np.savez(path, **{name: getattr(model, name).flat_params for name in NETWORKS},
+             settings_json=np.array(json.dumps(settings, sort_keys=True)),
+             input_dim=np.array(model.encoder.n_in),
+             num_classes=np.array(model.num_classes))
 
 
 def load_model(path):
     """(model, settings): the saved networks and the resolved settings of
-    the run that saved them, read from ``path`` in one pass."""
+    the run that saved them, read from ``path`` in one pass. A missing
+    array or a vector of the wrong size raises ``DataFormatError``."""
     with np.load(path) as data:
         if "settings_json" not in data:
             raise DataFormatError(f"{path}: no saved run settings; retrain")
+        for key in (*NETWORKS, "input_dim", "num_classes"):
+            if key not in data:
+                raise DataFormatError(f"{path}: no array {key!r}; retrain")
         settings = resolve_settings(None, json.loads(data["settings_json"].item()))
-        config = train_config_from(settings)
-        num_classes = data["classifier.0"].shape[0]
-        model = init_state(config, int(data["input_dim"]), num_classes).model
-        for name, net in (("encoder", model.encoder),
-                          ("classifier", model.classifier),
-                          ("discriminator", model.discriminator)):
-            for i, p in enumerate(net.parameters()):
-                p[...] = data[f"{name}.{i}"]
+        model = init_state(train_config_from(settings), int(data["input_dim"]),
+                           int(data["num_classes"])).model
+        for name in NETWORKS:
+            net, saved = getattr(model, name), data[name]
+            if saved.shape != net.flat_params.shape:
+                raise DataFormatError(
+                    f"{path}: array {name!r} holds {saved.size} values, the "
+                    f"network has {net.flat_params.size}; retrain")
+            net.flat_params[...] = saved
     return model, settings
 
 
@@ -332,6 +339,7 @@ def cmd_eval(args) -> int:
     # the saved run's data, unless the config file or flags override it
     settings = resolve_settings(args.config, _collect_overrides(args),
                                 base=saved)
+    check_settings(settings)
     if settings["target_table"]:
         target = load_feature_table(settings["target_table"], TARGET)
     else:

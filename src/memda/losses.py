@@ -1,8 +1,8 @@
 """Objective terms with exact analytic gradients.
 
-Four ingredients combine into the training objective
+Three terms combine into the training objective
 
-    total = l_sup + lambda_adv * l_adv + lambda_sc * l_sc,    l_adv = -l_d
+    total = l_sup - lambda_adv * l_d + lambda_sc * l_sc
 
 where l_sup is source cross-entropy, l_d the domain discriminator loss fed
 through the multilinear conditioning map, and l_sc the temperature-scaled
@@ -40,7 +40,6 @@ class LossReport:
 
     l_sup: float = 0.0
     l_d: float = 0.0
-    l_adv: float = 0.0
     l_sc: float = 0.0
     total: float = 0.0
 
@@ -215,10 +214,3 @@ def sample_consistency_memory(targets, bank, tau: float, k: int,
     grad = simmod.pairwise_similarity_vjp(targets, bank, dsim, sim)
     return ConsistencyResult(value, grad, assignment, positives, sim,
                              per_anchor, skipped)
-
-
-def total_loss(l_sup: float, l_adv: float, l_sc: float,
-               lambda_adv: float, lambda_sc: float) -> float:
-    if lambda_adv < 0 or lambda_sc < 0:
-        raise ConfigurationError("loss coefficients must be >= 0")
-    return l_sup + lambda_adv * l_adv + lambda_sc * l_sc

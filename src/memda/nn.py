@@ -8,7 +8,8 @@ arrays, one sample per row.
 
 Each network keeps its parameters in one flat vector and its gradients in
 another: every layer's weights and biases are views into them, so zeroing,
-SGD and the slow-encoder update are a few whole-vector operations.
+SGD and the slow-encoder update are a few whole-vector operations, and a
+saved model holds one flat parameter vector per network.
 """
 
 from __future__ import annotations
@@ -59,12 +60,6 @@ class Dense:
         np.sum(dy, axis=0, out=self.gb)
         return np.matmul(dy, self.w, out=out)  # x is read by now: out may be x
 
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.gw, self.gb]
-
 
 class Tanh:
     def forward(self, x):
@@ -75,12 +70,6 @@ class Tanh:
         y = cache
         return np.multiply(dy, 1.0 - y * y, out=out)
 
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
-
 
 class Relu:
     def forward(self, x):
@@ -89,12 +78,6 @@ class Relu:
     def backward(self, cache, dy, out=None):
         x = cache
         return np.multiply(dy, x > 0.0, out=out)  # subgradient at 0 taken as 0
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
 
 
 class MLP:
@@ -147,16 +130,9 @@ class MLP:
         raise ConfigurationError("network has no dense layer")
 
     def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
-
-    def gradients(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.grads())
-        return out
+        """Every dense layer's weights, then its bias, in layer order."""
+        return [p for layer in self.layers if isinstance(layer, Dense)
+                for p in (layer.w, layer.b)]
 
     def zero_grads(self):
         self.flat_grads.fill(0.0)

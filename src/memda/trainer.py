@@ -4,7 +4,7 @@ Each iteration runs one combined forward/backward pass over a source and a
 target mini-batch, stacked into one batch so that every network runs once
 forward and once backward per step, assembling
 
-    total = l_sup + lambda_adv * l_adv + lambda_sc * l_sc
+    total = l_sup - lambda_adv * l_d + lambda_sc * l_sc
 
 with the discriminator trained on l_d in the same pass: its own parameters
 get the plain l_d gradient while the encoder/classifier side receives the
@@ -141,7 +141,6 @@ class IterationRecord:
     iteration: int
     l_sup: float
     l_d: float
-    l_adv: float
     l_sc: float
     total: float
     lr_encoder: float
@@ -162,7 +161,6 @@ class SGD:
         self._scratch = [np.empty_like(p) for p in self.params]
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.steps = 0
 
     def step(self, grads, lr: float) -> None:
         for p, v, g, s in zip(self.params, self.velocities, grads, self._scratch):
@@ -173,7 +171,6 @@ class SGD:
             if self.weight_decay:
                 v += np.multiply(self.weight_decay, p, out=s)
             p -= np.multiply(lr, v, out=s)
-        self.steps += 1
 
 
 def lr_schedule(iteration: int, config: TrainConfig):
@@ -243,7 +240,6 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
              if model.multilinear else f)
         p, tape_d = discriminator_forward(h, model.discriminator)
         report.l_d, dps, dpt = losses.discriminator_loss(p[:ns], p[ns:])
-        report.l_adv = -report.l_d
         # discriminator itself minimizes l_d ...
         dz = (np.concatenate([dps, dpt]) * p * (1.0 - p))[:, None]
         dh = model.discriminator.backward(
@@ -279,8 +275,8 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
     df += model.classifier.backward(tape_c, softmax_vjp(g, dprobs))
     model.encoder.backward(tape_e, df)
 
-    report.total = losses.total_loss(report.l_sup, report.l_adv, report.l_sc,
-                                     lambda_adv, config.lambda_sc)
+    report.total = (report.l_sup - lambda_adv * report.l_d
+                    + config.lambda_sc * report.l_sc)
     return StepOutput(report, f_s, g_t, consistency)
 
 
@@ -295,7 +291,8 @@ class TrainerState:
 
 def init_state(config: TrainConfig, input_dim: int, num_classes: int) -> TrainerState:
     """The untrained model, bank and optimizers a run of ``config`` starts
-    from; ``cli.load_model`` builds a saved model's networks here too."""
+    from. ``cli.load_model`` builds a saved model's networks here too, then
+    copies each network's saved flat parameter vector into ``flat_params``."""
     model = build_model(
         input_dim=input_dim,
         embed_dim=config.embed_dim,
@@ -379,7 +376,6 @@ def train_step(state: TrainerState, x_source, y_source, x_target, y_target_eval,
         iteration=iteration,
         l_sup=report.l_sup,
         l_d=report.l_d,
-        l_adv=report.l_adv,
         l_sc=report.l_sc if sc_active else 0.0,
         total=report.total,
         lr_encoder=lr_enc,
@@ -413,7 +409,8 @@ def evaluate(model: ModelBundle, target: DomainDataset) -> metrics.EvalReport:
     if not labeled.any():
         return metrics.EvalReport(float("nan"),
                                   np.full(target.num_classes, np.nan))
-    preds = predict(model, target.features)[labeled]
+    with np.errstate(over="ignore", invalid="ignore"):  # the logits check reports it
+        preds = predict(model, target.features)[labeled]
     return metrics.EvalReport(
         metrics.accuracy(preds, truth[labeled]),
         metrics.per_class_accuracy(preds, truth[labeled], target.num_classes))
@@ -441,17 +438,19 @@ def run_training(config: TrainConfig, source: DomainDataset,
     has_target_labels = bool((target_eval >= 0).any())
 
     history = []
-    for it in range(config.total_iters):
-        src_idx = batch_sampler(source, config.batch_size, src_seed, it)
-        tgt_idx = batch_sampler(target, config.batch_size, tgt_seed, it)
-        record = train_step(
-            state,
-            source.features[src_idx],
-            source.train_labels[src_idx],
-            target.features[tgt_idx],
-            target_eval[tgt_idx] if has_target_labels else None,
-            it,
-            config,
-        )
-        history.append(record)
+    # overflow surfaces once, as the NumericalError of an isfinite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(config.total_iters):
+            src_idx = batch_sampler(source, config.batch_size, src_seed, it)
+            tgt_idx = batch_sampler(target, config.batch_size, tgt_seed, it)
+            record = train_step(
+                state,
+                source.features[src_idx],
+                source.train_labels[src_idx],
+                target.features[tgt_idx],
+                target_eval[tgt_idx] if has_target_labels else None,
+                it,
+                config,
+            )
+            history.append(record)
     return RunResult(state.model, history, evaluate(state.model, target))

@@ -97,7 +97,6 @@ def two_pass_forward_backward(model, x_source, y_source, x_target, config,
         p_s, tape_gs = discriminator_forward(h_s, model.discriminator)
         p_t, tape_gt = discriminator_forward(h_t, model.discriminator)
         report.l_d, dps, dpt = losses.discriminator_loss(p_s, p_t)
-        report.l_adv = -report.l_d
         dh_s, dh_t = summed_backward(
             model.discriminator, tape_gs, (dps * p_s * (1.0 - p_s))[:, None],
             tape_gt, (dpt * p_t * (1.0 - p_t))[:, None])
@@ -131,8 +130,8 @@ def two_pass_forward_backward(model, x_source, y_source, x_target, config,
     df_s += dc_s
     df_t += dc_t
     summed_backward(model.encoder, tape_es, df_s, tape_et, df_t)
-    report.total = losses.total_loss(report.l_sup, report.l_adv, report.l_sc,
-                                     lambda_adv, config.lambda_sc)
+    report.total = (report.l_sup - lambda_adv * report.l_d
+                    + config.lambda_sc * report.l_sc)
     return report
 
 
@@ -200,18 +199,16 @@ def component_closure(model, cfg, x_s, y_s, x_t, bank, component, side):
     components = ALL_COMPONENTS if component == "all" else frozenset({component})
     sc_active = "sc" in components
 
-    if side == "theta":
-        params = model.encoder.parameters() + model.classifier.parameters()
-        grad_src = lambda: model.encoder.gradients() + model.classifier.gradients()
-    else:
-        params = model.discriminator.parameters()
-        grad_src = model.discriminator.gradients
+    # every layer tensor is a view into its network's flat vectors
+    nets = ((model.encoder, model.classifier) if side == "theta"
+            else (model.discriminator,))
+    params = [net.flat_params for net in nets]
 
     def loss_fn():
         out = forward_backward(model, x_s, y_s, x_t, cfg, bank=bank,
                                sc_active=sc_active, components=components)
         value = out.report.l_d if side == "omega" else out.report.total
-        return value, [g.copy() for g in grad_src()]
+        return value, [net.flat_grads.copy() for net in nets]
 
     return loss_fn, params
 

@@ -52,6 +52,15 @@ def tiny_flags(**extra):
     return out
 
 
+def fresh_cli(argv, **env):
+    """``memda`` run in a fresh interpreter, with ``env`` added to its
+    environment; returns the completed process."""
+    src = Path(memda.cli.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-m", "memda.cli"] + argv,
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(src), **env})
+
+
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
@@ -269,6 +278,30 @@ def test_package_errors_map_to_documented_exit_codes(tmp_path, monkeypatch,
     assert capsys.readouterr().err == f"{error.label}: boom\n"
 
 
+def test_numerical_failure_reports_one_line(tmp_path):
+    # a fresh interpreter shows what the user sees: no numpy warning lines
+    proc = fresh_cli(["train", "--outdir", str(tmp_path / "r"),
+                      "--lr-encoder", "1e8", "--lr-heads", "1e8",
+                      "--sgd-momentum", "0.99"] + tiny_flags())
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("numerical failure: non-finite loss")
+
+
+def test_metrics_are_byte_identical_across_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count when numpy loads: one process per count
+    csvs = []
+    for threads in ("1", "2"):
+        outdir = tmp_path / f"threads{threads}"
+        proc = fresh_cli(["train", "--outdir", str(outdir), "--total-iters", "300",
+                          "--bootstrap-iters", "50", "--seed", "3",
+                          "--lambda-sc", "1", "--tau", "0.2"],
+                         OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        csvs.append((outdir / "metrics.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_zero_source_features_exit_4_at_first_enqueue(tmp_path, capsys):
     # all-zero inputs give all-zero features from the freshly built encoder
     # (zero biases), which the cosine bank rejects when they are enqueued
@@ -426,16 +459,78 @@ def test_eval_reads_the_model_file_once(tmp_path, capsys, monkeypatch):
     assert len(opened) == 1
 
 
+@pytest.mark.parametrize("flag,value", [("--rotation-deg", "nan"),
+                                        ("--class-spread", "inf")])
+def test_eval_rejects_a_non_finite_setting(tmp_path, capsys, flag, value):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--outdir", str(run_dir)] + tiny_flags()) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", str(run_dir / "model.npz"), flag, value]) == 2
+    assert f"key {flag[2:].replace('-', '_')!r}" in capsys.readouterr().err
+
+
 def test_eval_rejects_a_model_without_settings(tmp_path, capsys):
     np.savez(tmp_path / "bare.npz", input_dim=np.array(5))
     assert main(["eval", "--model", str(tmp_path / "bare.npz")]) == 2
     assert "no saved run settings" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """The model.npz of a tiny trained run."""
+    run_dir = tmp_path_factory.mktemp("saved")
+    assert main(["train", "--outdir", str(run_dir)] + tiny_flags()) == 0
+    return run_dir / "model.npz"
+
+
+def per_tensor_layout(path):
+    """The arrays of ``path`` in the layout of models saved before the flat
+    vectors: one array per layer tensor (``encoder.1`` is the first bias)
+    and no ``num_classes``. ``encoder.1`` is cut to 1 entry, which that
+    layout's loader broadcast silently."""
+    model, _ = load_model(path)
+    with np.load(path) as data:
+        old = {key: data[key] for key in ("settings_json", "input_dim")}
+    for name in ("encoder", "classifier", "discriminator"):
+        for i, p in enumerate(getattr(model, name).parameters()):
+            old[f"{name}.{i}"] = p
+    old["encoder.1"] = old["encoder.1"][:1]
+    return old
+
+
+MALFORMED = {  # case -> what the one-line message must say
+    "truncated": "'encoder' holds 149 values, the network has 150",
+    "no-discriminator": "no array 'discriminator'",
+    "no-input_dim": "no array 'input_dim'",
+    "no-num_classes": "no array 'num_classes'",
+    "per-tensor": "no array 'encoder'; retrain",
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_eval_rejects_a_malformed_model(tmp_path, capsys, saved_model, case):
+    if case == "per-tensor":
+        arrays = per_tensor_layout(saved_model)
+    else:
+        with np.load(saved_model) as data:
+            arrays = {key: data[key] for key in data.files}
+        if case == "truncated":
+            arrays["encoder"] = arrays["encoder"][:-1]
+        else:
+            del arrays[case[3:]]
+    np.savez(tmp_path / "bad.npz", **arrays)
+    assert main(["eval", "--model", str(tmp_path / "bad.npz")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and MALFORMED[case] in err
+
+
 def test_model_round_trip(tmp_path):
     settings = resolve_settings(None, {**TINY, "seed": "2"})
     trained = run_from_settings(settings, tmp_path / "run").model
     model, saved = load_model(tmp_path / "run" / "model.npz")
+    with np.load(tmp_path / "run" / "model.npz") as data:
+        assert sorted(data.files) == ["classifier", "discriminator", "encoder",
+                                      "input_dim", "num_classes", "settings_json"]
     assert saved == settings
     assert train_config_from(saved).seed == 2
     assert model.encoder.n_in == 5

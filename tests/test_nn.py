@@ -38,7 +38,7 @@ def test_identity_layer_forward():
 def test_layer_parameters_are_views_into_the_flat_vectors():
     rng = np.random.default_rng(0)
     layers = [Dense(3, 4, rng), Dense(4, 2, rng)]
-    before = np.concatenate([p.ravel() for layer in layers for p in layer.params()])
+    before = np.concatenate([p.ravel() for layer in layers for p in (layer.w, layer.b)])
     net = MLP(layers)
     assert np.array_equal(net.flat_params, before)  # packing copies the values
     model = build_model(input_dim=5, embed_dim=4, num_classes=3, seed=0)
@@ -52,14 +52,17 @@ def test_layer_parameters_are_views_into_the_flat_vectors():
             assert np.shares_memory(layer.gb, net.flat_grads)
         net.flat_grads[...] = 1.0
         net.zero_grads()
-        assert all(np.all(g == 0.0) for g in net.gradients())
+        assert all(np.all(layer.gw == 0.0) and np.all(layer.gb == 0.0)
+                   for layer in dense)
 
 
 def test_clone_shares_no_memory_with_the_original():
     encoder = build_model(input_dim=5, embed_dim=4, seed=0).encoder
     copy = encoder.clone()
     assert np.array_equal(copy.flat_params, encoder.flat_params)
-    mine = [copy.flat_params, copy.flat_grads, *copy.parameters(), *copy.gradients()]
+    mine = [copy.flat_params, copy.flat_grads, *copy.parameters(),
+            *(g for layer in copy.layers if isinstance(layer, Dense)
+              for g in (layer.gw, layer.gb))]
     for a in mine:
         assert not np.shares_memory(a, encoder.flat_params)
         assert not np.shares_memory(a, encoder.flat_grads)
@@ -73,14 +76,13 @@ def test_backward_into_its_own_input_matches_a_fresh_result():
     dz = rng.normal(size=(6, 1))
     _, tape = model.discriminator.forward(h)
     fresh = model.discriminator.backward(tape, dz)
-    grads = [g.copy() for g in model.discriminator.gradients()]
+    grads = model.discriminator.flat_grads.copy()
     model.discriminator.zero_grads()
     _, tape = model.discriminator.forward(h)
     dh = model.discriminator.backward(tape, dz, out=h)
     assert dh is h
     assert np.array_equal(h, fresh)
-    for a, b in zip(model.discriminator.gradients(), grads):
-        assert np.array_equal(a, b)
+    assert np.array_equal(model.discriminator.flat_grads, grads)
 
 
 def test_encoder_matches_straight_line_oracle():
@@ -236,7 +238,6 @@ def test_same_seed_bitwise_identical_forward_and_grads():
         f, tape = encoder_forward(x, model.encoder)
         model.encoder.backward(tape, dy)
         outs.append(f)
-        grads.append([g.copy() for g in model.encoder.gradients()])
+        grads.append(model.encoder.flat_grads.copy())
     assert np.array_equal(outs[0], outs[1])
-    for a, b in zip(*grads):
-        assert np.array_equal(a, b)
+    assert np.array_equal(grads[0], grads[1])

@@ -5,7 +5,7 @@ import pytest
 
 from memda.datasets import ShiftSpec, apply_domain_shift, gen_gaussian_mixture
 from memda.errors import ConfigurationError, NumericalError
-from memda.nn import build_model, classifier_forward, encoder_forward
+from memda.nn import Dense, build_model, classifier_forward, encoder_forward
 from memda.trainer import (
     PREDICT_CHUNK,
     SGD,
@@ -108,7 +108,9 @@ def test_flat_sgd_step_equals_the_per_tensor_step():
         flat_net.flat_grads[...] = grads
         tensor_net.flat_grads[...] = grads
         flat.step([flat_net.flat_grads], lr)
-        per_tensor.step(tensor_net.gradients(), lr)
+        per_tensor.step([g for layer in tensor_net.layers
+                         if isinstance(layer, Dense) for g in (layer.gw, layer.gb)],
+                        lr)
     assert flat_net.flat_params.tobytes() == tensor_net.flat_params.tobytes()
 
 
@@ -133,6 +135,9 @@ def test_config_validation():
         small_config(pseudo_labels="oracle").validate()
     with pytest.raises(ConfigurationError):
         small_config(mu=1.5).validate()
+    for key in ("lambda_adv", "lambda_sc"):
+        with pytest.raises(ConfigurationError, match="loss coefficients"):
+            small_config(**{key: -1.0}).validate()
     for key, bad in (("sgd_momentum", 1.0), ("sgd_momentum", 1.5),
                      ("sgd_momentum", -0.5), ("weight_decay", -1.0),
                      ("lr_alpha", -5.0)):
@@ -178,15 +183,26 @@ def test_bootstrap_purity_and_first_fill():
     assert any(r.l_sc > 0.0 for r in result.history[gate_iter:])
 
 
-def test_one_update_per_network_per_iteration():
+def test_one_update_per_network_per_iteration(monkeypatch):
+    updated = []  # the gradient vectors of every SGD.step call
+    step = SGD.step
+
+    def counting_step(self, grads, lr):
+        updated.extend(id(g) for g in grads)
+        step(self, grads, lr)
+
+    monkeypatch.setattr(SGD, "step", counting_step)
     src, tgt = small_domains()
     cfg = small_config(total_iters=12, bootstrap_iters=3)
     state = init_state(cfg, src.dim, src.num_classes)
+    nets = (state.model.encoder, state.model.classifier,
+            state.model.discriminator)
     for it in range(cfg.total_iters):
         rows = np.arange(it, it + cfg.batch_size) % len(src)
         train_step(state, src.features[rows], src.train_labels[rows],
                    tgt.features[rows], None, it, cfg)
-        assert state.opt_encoder.steps == state.opt_heads.steps == it + 1
+        assert sorted(updated) == sorted(id(net.flat_grads) for net in nets)
+        updated.clear()
 
 
 def test_seed_determinism_end_to_end():
@@ -282,10 +298,9 @@ def test_feature_mode_detaches_conditioning_from_classifier():
         model, cfg, x_s, y_s, x_t, bank = tiny_problem(11, condition_backprop=mode)
         forward_backward(model, x_s, y_s, x_t, cfg, bank=bank,
                          components=frozenset({"adv"}))
-        flowing = any(np.any(g != 0.0) for g in model.classifier.gradients())
-        assert flowing == expect_grad
+        assert np.any(model.classifier.flat_grads != 0.0) == expect_grad
         # the encoder always receives the reversed feature-path gradient
-        assert any(np.any(g != 0.0) for g in model.encoder.gradients())
+        assert np.any(model.encoder.flat_grads != 0.0)
 
 
 @pytest.mark.parametrize("n_source,n_target", [(4, 4), (6, 3)])
@@ -311,10 +326,9 @@ def test_stacked_pass_matches_the_two_pass_reference(
         assert getattr(report, name) == pytest.approx(getattr(ref, name),
                                                       rel=1e-12, abs=0.0)
     for net in ("encoder", "classifier", "discriminator"):
-        grads = getattr(model, net).gradients()
-        ref_grads = getattr(ref_model, net).gradients()
-        for a, b in zip(grads, ref_grads):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(getattr(model, net).flat_grads,
+                                   getattr(ref_model, net).flat_grads,
+                                   rtol=1e-12, atol=0.0)
 
 
 def test_lambda_sc_zero_with_diagnostics_tracks_scores():
@@ -325,7 +339,7 @@ def test_lambda_sc_zero_with_diagnostics_tracks_scores():
     assert any(r.mean_sim_avg != 0.0 for r in post)
     # but the objective never sees the consistency term
     for r in result.history:
-        assert r.total == pytest.approx(r.l_sup + cfg.lambda_adv * r.l_adv, abs=1e-12)
+        assert r.total == pytest.approx(r.l_sup - cfg.lambda_adv * r.l_d, abs=1e-12)
 
 
 def test_consistency_step_allocates_little_at_recipe_shapes():
