@@ -5,6 +5,9 @@ can be overridden by a same-named flag (--batch-size overrides batch_size).
 Settings (``check_settings``) and data are checked before anything is
 written; a run then writes its manifest before training starts, then a
 per-iteration metrics CSV, a summary report and the trained model.
+``metrics.csv`` has one column per ``trainer.IterationRecord`` field, in
+field order (``iteration`` is headed ``iter``): floats as ``repr``, ints
+as ``str``.
 
 ``model.npz`` holds exactly six arrays: ``encoder``, ``classifier`` and
 ``discriminator``, each that network's flat parameter vector (every dense
@@ -27,11 +30,12 @@ import math
 import statistics
 import sys
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, metrics
+from . import __version__, metrics, trainer
 from .datasets import (
     SOURCE,
     TARGET,
@@ -45,10 +49,8 @@ from .datasets import (
 from .errors import ConfigurationError, DataFormatError, MemdaError
 from .trainer import RunResult, TrainConfig, evaluate, init_state, run_training
 
-CSV_COLUMNS = [
-    "iter", "l_sup", "l_d", "l_sc", "total", "lr_encoder", "lr_heads",
-    "bank_size", "mean_sim_avg", "mean_sim_literal", "pl_acc", "skip_count",
-]
+RECORD_FIELDS = [f.name for f in dataclasses.fields(trainer.IterationRecord)]
+CSV_COLUMNS = ["iter", *RECORD_FIELDS[1:]]
 
 # data-generation keys live beside the trainer keys in the same flat config
 DATA_DEFAULTS = {
@@ -126,14 +128,14 @@ def train_config_from(settings: dict) -> TrainConfig:
 
 
 def check_settings(settings: dict) -> TrainConfig:
-    """The run's validated ``TrainConfig``; every float setting must be
+    """The run's validated ``TrainConfig``; every float data setting must be
     finite, and for generated data the mixture and shift settings are
     checked too. Raises ``ConfigurationError``."""
-    for key, default in ALL_DEFAULTS.items():
-        if isinstance(default, float) and not math.isfinite(settings[key]):
-            raise ConfigurationError(f"key {key!r}: {settings[key]} is not finite")
     config = train_config_from(settings)
     config.validate()
+    for key, default in DATA_DEFAULTS.items():
+        if isinstance(default, float) and not math.isfinite(settings[key]):
+            raise ConfigurationError(f"key {key!r}: {settings[key]} is not finite")
     if not (settings["source_table"] or settings["target_table"]):
         check_mixture(*(settings[k] for k in MIXTURE_KEYS))
         ShiftSpec.from_degrees(settings["rotation_deg"],
@@ -174,15 +176,9 @@ def write_metrics_csv(path, history) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for r in history:
-            floats = ",".join(
-                repr(float(v)) for v in (
-                    r.l_sup, r.l_d, r.l_sc, r.total, r.lr_encoder, r.lr_heads,
-                )
-            )
-            diag = ",".join(
-                repr(float(v)) for v in (r.mean_sim_avg, r.mean_sim_literal, r.pl_acc)
-            )
-            fh.write(f"{r.iteration},{floats},{r.bank_size},{diag},{r.skip_count}\n")
+            values = (getattr(r, name) for name in RECORD_FIELDS)
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in values) + "\n")
 
 
 def save_model(path, model, settings: dict) -> None:
@@ -193,21 +189,37 @@ def save_model(path, model, settings: dict) -> None:
              num_classes=np.array(model.num_classes))
 
 
+def _read_array(path, data, key, parse=np.asarray):
+    """``parse(data[key])``; raises ``DataFormatError`` if either fails."""
+    if key not in data:
+        raise DataFormatError(f"{path}: no array {key!r}; retrain")
+    try:
+        return parse(data[key])
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: bad array {key!r} ({exc}); retrain") from exc
+
+
 def load_model(path):
     """(model, settings): the saved networks and the resolved settings of
-    the run that saved them, read from ``path`` in one pass. A missing
-    array or a vector of the wrong size raises ``DataFormatError``."""
-    with np.load(path) as data:
+    the run that saved them, read from ``path`` in one pass. A file that is
+    not an npz archive, a missing or malformed array or a vector of the
+    wrong size raises ``DataFormatError``."""
+    try:
+        data = np.load(path)
+    except (ValueError, zipfile.BadZipFile) as exc:  # pickled or text data, bad zip
+        raise DataFormatError(f"{path}: not an npz archive; retrain") from exc
+    with data:
         if "settings_json" not in data:
             raise DataFormatError(f"{path}: no saved run settings; retrain")
-        for key in (*NETWORKS, "input_dim", "num_classes"):
-            if key not in data:
-                raise DataFormatError(f"{path}: no array {key!r}; retrain")
-        settings = resolve_settings(None, json.loads(data["settings_json"].item()))
-        model = init_state(train_config_from(settings), int(data["input_dim"]),
-                           int(data["num_classes"])).model
-        for name in NETWORKS:
-            net, saved = getattr(model, name), data[name]
+        vectors = [_read_array(path, data, name) for name in NETWORKS]
+        input_dim, num_classes = (_read_array(path, data, key, int)
+                                  for key in ("input_dim", "num_classes"))
+        settings = resolve_settings(None, _read_array(
+            path, data, "settings_json", lambda a: dict(json.loads(a.item()))))
+        model = init_state(train_config_from(settings), input_dim,
+                           num_classes).model
+        for name, saved in zip(NETWORKS, vectors):
+            net = getattr(model, name)
             if saved.shape != net.flat_params.shape:
                 raise DataFormatError(
                     f"{path}: array {name!r} holds {saved.size} values, the "

@@ -17,8 +17,9 @@ anchors. ``sample_consistency_memory`` is the one consistency entry. The
 bank's score, work and mask matrices are reused by every call on it: a
 ``ConsistencyResult``'s ``sim`` and the ``dsim`` of
 ``consistency_from_similarity`` alias those buffers until the next call on
-the same bank, while ``value``, ``grad_targets``, ``positives`` and
-``per_anchor`` are the caller's own. Each step finds the positive pairs
+the same bank, while ``value``, ``grad_targets``, ``labels``, ``positives``
+and ``per_anchor`` are the caller's own; ``grad_targets`` is None unless
+the call asks for it with ``need_grad``. Each step finds the positive pairs
 once, as ascending flat row-major indices into the score matrix; the loss,
 its gradient and the similarity diagnostics take them in that form only.
 """
@@ -32,16 +33,6 @@ import numpy as np
 from . import similarity as simmod
 from .errors import ConfigurationError
 from .nn import PROB_EPS
-
-
-@dataclass
-class LossReport:
-    """Per-iteration loss summary; ``total`` is assembled by the trainer."""
-
-    l_sup: float = 0.0
-    l_d: float = 0.0
-    l_sc: float = 0.0
-    total: float = 0.0
 
 
 def supervised_loss(probs, labels):
@@ -116,12 +107,12 @@ class ConsistencyResult:
     indices into ``sim`` of the pairs labeled like their anchor."""
 
     value: float
-    grad_targets: np.ndarray        # d l_sc / d target features
-    assignment: simmod.PseudoLabelAssignment | None
-    positives: np.ndarray           # read by the diagnostics too
-    sim: np.ndarray                 # the scores used; aliases the bank's buffer
-    per_anchor: np.ndarray          # (n_targets,) individual -log terms
-    skipped: int                    # anchors with an empty positive set
+    grad_targets: np.ndarray | None  # d l_sc / d target features
+    labels: np.ndarray               # the anchors' pseudo-labels
+    positives: np.ndarray            # read by the diagnostics too
+    sim: np.ndarray                  # the scores used; aliases the bank's buffer
+    per_anchor: np.ndarray           # (n_targets,) individual -log terms
+    skipped: int                     # anchors with an empty positive set
 
 
 def consistency_from_similarity(sim, positives, tau: float, work=None):
@@ -189,7 +180,8 @@ def consistency_from_similarity(sim, positives, tau: float, work=None):
 
 def sample_consistency_memory(targets, bank, tau: float, k: int,
                               num_classes: int,
-                              pseudo_labels=None) -> ConsistencyResult:
+                              pseudo_labels=None,
+                              need_grad: bool = True) -> ConsistencyResult:
     """The consistency loss of ``targets`` against the constant entries of
     ``bank``, a ``bank.MemoryBank``, under the bank's own kernel.
 
@@ -197,20 +189,21 @@ def sample_consistency_memory(targets, bank, tau: float, k: int,
     is nonempty by construction (the winning class has at least one
     neighbour in the bank); the vote raises ``GatingError`` for a bank of
     fewer than k entries. Pass ``pseudo_labels`` explicitly for the
-    classifier-based ablation, which never reads k.
+    classifier-based ablation, which never reads k. Without ``need_grad``
+    the similarity VJP is skipped and ``grad_targets`` is None.
     """
     sim = simmod.pairwise_similarity(targets, bank)
     _, work, mask = bank.buffers(sim.shape[0])
     ref_labels = bank.labels()
-    assignment = None
     if pseudo_labels is None:
-        assignment = simmod.assign_pseudo_labels(sim, ref_labels, k,
-                                                 num_classes, scratch=mask)
-        pseudo_labels = assignment.labels
-    np.equal(ref_labels[None, :], np.asarray(pseudo_labels)[:, None], out=mask)
+        pseudo_labels = simmod.assign_pseudo_labels(
+            sim, ref_labels, k, num_classes, scratch=mask).labels
+    labels = np.asarray(pseudo_labels)
+    np.equal(ref_labels[None, :], labels[:, None], out=mask)
     positives = np.flatnonzero(mask)
     value, dsim, per_anchor, skipped = consistency_from_similarity(
         sim, positives, tau, work=work)
-    grad = simmod.pairwise_similarity_vjp(targets, bank, dsim, sim)
-    return ConsistencyResult(value, grad, assignment, positives, sim,
+    grad = (simmod.pairwise_similarity_vjp(targets, bank, dsim, sim)
+            if need_grad else None)
+    return ConsistencyResult(value, grad, labels, positives, sim,
                              per_anchor, skipped)

@@ -8,15 +8,15 @@ forward and once backward per step, assembling
 
 with the discriminator trained on l_d in the same pass: its own parameters
 get the plain l_d gradient while the encoder/classifier side receives the
-reversed, lambda_adv-scaled gradient through the conditioned input. The
-consistency term stays inactive during the bootstrap phase and until the
-memory bank holds enough entries; each network is updated exactly once per
-iteration by momentum SGD with per-group inverse-decay learning rates.
+reversed, lambda_adv-scaled gradient through the conditioned input. Once
+bootstrap is over and the bank is ready, the consistency branch runs if
+consistency is on and lambda_sc > 0 or diagnostics are "on"; its backward
+runs only if lambda_sc > 0. SGD updates each network once per iteration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,6 +79,10 @@ class TrainConfig:
     multilinear: bool = True
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not np.isfinite(value):
+                raise ConfigurationError(f"key {f.name!r}: {value} is not finite")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         if not 0 <= self.bootstrap_iters < self.total_iters:
@@ -127,13 +131,6 @@ class TrainConfig:
     @property
     def similarity_kind(self) -> simmod.SimilarityKind:
         return simmod.SimilarityKind(self.similarity, self.gaussian_sigma)
-
-    def diagnostics_active(self) -> bool:
-        if self.diagnostics == "on":
-            return True
-        if self.diagnostics == "off":
-            return False
-        return self.lambda_sc > 0 and self.consistency != OFF
 
 
 @dataclass
@@ -189,10 +186,12 @@ def adv_coefficient(iteration: int, config: TrainConfig) -> float:
 
 @dataclass
 class StepOutput:
-    report: losses.LossReport
+    l_sup: float
+    l_d: float
+    l_sc: float
+    total: float
     f_source: np.ndarray
-    g_target: np.ndarray
-    consistency: losses.ConsistencyResult | None = None
+    consistency: losses.ConsistencyResult | None
 
 
 def forward_backward(model: ModelBundle, x_source, y_source, x_target,
@@ -224,14 +223,14 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
     ns = len(xs)
     f, tape_e = encoder_forward(np.concatenate([xs, xt]), model.encoder)
     g, _, tape_c = classifier_forward(f, model.classifier)
-    f_s, f_t, g_t = f[:ns], f[ns:], g[ns:]
+    f_s, f_t = f[:ns], f[ns:]
 
-    report = losses.LossReport()
+    l_sup = l_d = l_sc = 0.0
     dprobs = np.zeros_like(g)
     df = np.zeros_like(f)
 
     if "sup" in components:
-        report.l_sup, dprobs[:ns] = losses.supervised_loss(g[:ns], y_source)
+        l_sup, dprobs[:ns] = losses.supervised_loss(g[:ns], y_source)
 
     if adversarial:
         # the conditioned batch lives in the model's resident buffer, which
@@ -239,7 +238,7 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
         h = (losses.multilinear_map(f, g, out=model.conditioned_buffer(len(f)))
              if model.multilinear else f)
         p, tape_d = discriminator_forward(h, model.discriminator)
-        report.l_d, dps, dpt = losses.discriminator_loss(p[:ns], p[ns:])
+        l_d, dps, dpt = losses.discriminator_loss(p[:ns], p[ns:])
         # discriminator itself minimizes l_d ...
         dz = (np.concatenate([dps, dpt]) * p * (1.0 - p))[:, None]
         dh = model.discriminator.backward(
@@ -260,24 +259,23 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
     if "sc" in components and sc_active and config.consistency != OFF:
         pseudo = None
         if config.pseudo_labels == CLASSIFIER:
-            pseudo = np.argmax(g_t, axis=1)
+            pseudo = np.argmax(g[ns:], axis=1)
         if config.consistency == BATCH:
             bank = MemoryBank(ns, f.shape[1], config.similarity_kind)
             bank.enqueue(f_s, y_source)
         consistency = losses.sample_consistency_memory(
             f_t, bank, config.tau, config.k, model.num_classes,
-            pseudo_labels=pseudo)
-        report.l_sc = consistency.value
-        if config.lambda_sc > 0:
+            pseudo_labels=pseudo, need_grad=config.lambda_sc > 0)
+        l_sc = consistency.value
+        if consistency.grad_targets is not None:
             df[ns:] += config.lambda_sc * consistency.grad_targets
 
     # chain classifier gradients (supervised + conditioning path) into features
     df += model.classifier.backward(tape_c, softmax_vjp(g, dprobs))
     model.encoder.backward(tape_e, df)
 
-    report.total = (report.l_sup - lambda_adv * report.l_d
-                    + config.lambda_sc * report.l_sc)
-    return StepOutput(report, f_s, g_t, consistency)
+    total = l_sup - lambda_adv * l_d + config.lambda_sc * l_sc
+    return StepOutput(l_sup, l_d, l_sc, total, f_s, consistency)
 
 
 @dataclass
@@ -325,9 +323,8 @@ def train_step(state: TrainerState, x_source, y_source, x_target, y_target_eval,
         raise ConfigurationError("iteration past total_iters")
     model, bank = state.model, state.bank
     bootstrap = iteration < config.bootstrap_iters
-    diag = config.diagnostics_active()
     want_sc = not bootstrap and config.consistency != OFF and (
-        config.lambda_sc > 0 or diag)
+        config.lambda_sc > 0 or config.diagnostics == "on")
     sc_active = want_sc and (
         config.consistency == BATCH
         or bank.ready(config.gate_entries)
@@ -336,11 +333,10 @@ def train_step(state: TrainerState, x_source, y_source, x_target, y_target_eval,
     out = forward_backward(model, x_source, y_source, x_target, config,
                            bank=bank, sc_active=sc_active,
                            lambda_adv=adv_coefficient(iteration, config))
-    report = out.report
-    if not np.isfinite(report.total):
+    if not np.isfinite(out.total):
         raise NumericalError(
             f"non-finite loss at iteration {iteration}: "
-            f"sup={report.l_sup} d={report.l_d} sc={report.l_sc}; "
+            f"sup={out.l_sup} d={out.l_d} sc={out.l_sc}; "
             f"last good: {state.last_good}"
         )
 
@@ -363,28 +359,26 @@ def train_step(state: TrainerState, x_source, y_source, x_target, y_target_eval,
         momentum_update(model.momentum, model.encoder, config.mu)
 
     mean_avg = mean_lit = pl_acc = 0.0
-    if diag and out.consistency is not None:
-        cons = out.consistency
+    cons = out.consistency
+    if config.diagnostics != "off" and cons is not None:
         mean_avg, mean_lit = metrics.mean_similarity_both(
             cons.sim, cons.positives)
         if y_target_eval is not None:
-            pseudo = (cons.assignment.labels if cons.assignment is not None
-                      else np.argmax(out.g_target, axis=1))
-            pl_acc = metrics.pseudo_label_accuracy(pseudo, y_target_eval)
+            pl_acc = metrics.pseudo_label_accuracy(cons.labels, y_target_eval)
 
     record = IterationRecord(
         iteration=iteration,
-        l_sup=report.l_sup,
-        l_d=report.l_d,
-        l_sc=report.l_sc if sc_active else 0.0,
-        total=report.total,
+        l_sup=out.l_sup,
+        l_d=out.l_d,
+        l_sc=out.l_sc,
+        total=out.total,
         lr_encoder=lr_enc,
         lr_heads=lr_heads,
         bank_size=len(bank) if bank is not None else 0,
         mean_sim_avg=mean_avg,
         mean_sim_literal=mean_lit,
         pl_acc=pl_acc,
-        skip_count=out.consistency.skipped if out.consistency is not None else 0,
+        skip_count=cons.skipped if cons is not None else 0,
     )
     state.last_good = record
     return record

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from memda import losses
@@ -71,8 +73,8 @@ def two_pass_forward_backward(model, x_source, y_source, x_target, config,
     and the domains' gradients are kept apart until the parameters sum them.
     Each backward overwrites its network's gradients, so the harness adds
     the two calls' gradients itself. Batch-mode consistency scores against a
-    bank of the source batch, as the trainer does. Returns the loss
-    report."""
+    bank of the source batch, as the trainer does. Returns the four losses
+    as the attributes ``l_sup``, ``l_d``, ``l_sc`` and ``total``."""
     if lambda_adv is None:
         lambda_adv = config.lambda_adv
     for net in (model.encoder, model.classifier, model.discriminator):
@@ -81,7 +83,7 @@ def two_pass_forward_backward(model, x_source, y_source, x_target, config,
     f_t, tape_et = encoder_forward(x_target, model.encoder)
     g_s, _, tape_cs = classifier_forward(f_s, model.classifier)
     g_t, _, tape_ct = classifier_forward(f_t, model.classifier)
-    report = losses.LossReport()
+    report = SimpleNamespace(l_sup=0.0, l_d=0.0, l_sc=0.0, total=0.0)
     dprobs_s, dprobs_t = np.zeros_like(g_s), np.zeros_like(g_t)
     df_s, df_t = np.zeros_like(f_s), np.zeros_like(f_t)
 
@@ -207,7 +209,7 @@ def component_closure(model, cfg, x_s, y_s, x_t, bank, component, side):
     def loss_fn():
         out = forward_backward(model, x_s, y_s, x_t, cfg, bank=bank,
                                sc_active=sc_active, components=components)
-        value = out.report.l_d if side == "omega" else out.report.total
+        value = out.l_d if side == "omega" else out.total
         return value, [net.flat_grads.copy() for net in nets]
 
     return loss_fn, params

@@ -166,7 +166,8 @@ def test_train_writes_artifacts_and_exits_zero(tmp_path):
     assert (outdir / "manifest.json").exists()
     assert (outdir / "model.npz").exists()
     lines = (outdir / "metrics.csv").read_text().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)  # golden header
+    assert lines[0] == ("iter,l_sup,l_d,l_sc,total,lr_encoder,lr_heads,bank_size,"
+                        "mean_sim_avg,mean_sim_literal,pl_acc,skip_count")
     assert len(lines) == 1 + 30
     summary = json.loads((outdir / "summary.json").read_text())
     assert 0.0 <= summary["overall_accuracy"] <= 1.0
@@ -504,6 +505,10 @@ MALFORMED = {  # case -> what the one-line message must say
     "no-input_dim": "no array 'input_dim'",
     "no-num_classes": "no array 'num_classes'",
     "per-tensor": "no array 'encoder'; retrain",
+    "not-npz": "not an npz archive",
+    "settings-not-json": "bad array 'settings_json'",
+    "settings-not-object": "bad array 'settings_json'",
+    "num_classes-not-scalar": "bad array 'num_classes'",
 }
 
 
@@ -516,9 +521,17 @@ def test_eval_rejects_a_malformed_model(tmp_path, capsys, saved_model, case):
             arrays = {key: data[key] for key in data.files}
         if case == "truncated":
             arrays["encoder"] = arrays["encoder"][:-1]
-        else:
+        elif case == "settings-not-json":
+            arrays["settings_json"] = np.array("{not json")
+        elif case == "settings-not-object":
+            arrays["settings_json"] = np.array("[1, 2]")
+        elif case == "num_classes-not-scalar":
+            arrays["num_classes"] = np.array([5, 5])
+        elif case.startswith("no-"):
             del arrays[case[3:]]
     np.savez(tmp_path / "bad.npz", **arrays)
+    if case == "not-npz":
+        (tmp_path / "bad.npz").write_text("not a zip archive\n")
     assert main(["eval", "--model", str(tmp_path / "bad.npz")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and MALFORMED[case] in err

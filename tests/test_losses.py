@@ -146,10 +146,10 @@ def test_adversarial_is_negated_discriminator_loss():
     # alone, the adversarial term is the weighted, negated domain loss
     out = forward_backward(model, x_s, y_s, x_t, cfg, bank=bank,
                            components=frozenset({"adv"}))
-    assert out.report.l_d > 0.0
-    assert out.report.total == -cfg.lambda_adv * out.report.l_d
+    assert out.l_d > 0.0
+    assert out.total == -cfg.lambda_adv * out.l_d
     r = forward_backward(model, x_s, y_s, x_t, cfg, bank=bank,
-                         sc_active=True).report
+                         sc_active=True)
     assert r.l_sc > 0.0
     assert r.total == r.l_sup - cfg.lambda_adv * r.l_d + cfg.lambda_sc * r.l_sc
 

@@ -1,8 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from memda import similarity
 from memda.datasets import ShiftSpec, apply_domain_shift, gen_gaussian_mixture
 from memda.errors import ConfigurationError, NumericalError
 from memda.nn import Dense, build_model, classifier_forward, encoder_forward
@@ -145,6 +147,18 @@ def test_config_validation():
             small_config(**{key: bad}).validate()
     small_config(sgd_momentum=0.0, weight_decay=0.0, lr_alpha=0.0).validate()
     small_config().validate()
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)
+                if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("key", FLOAT_FIELDS)
+def test_config_validation_rejects_non_finite_floats(key, value):
+    with pytest.raises(ConfigurationError,
+                       match=f"^key '{key}': {value} is not finite$"):
+        small_config(**{key: value}).validate()
 
 
 def test_bank_below_gate_is_rejected():
@@ -317,26 +331,57 @@ def test_stacked_pass_matches_the_two_pass_reference(
                      multilinear=multilinear,
                      condition_backprop=condition_backprop)
         for _ in range(2))
-    report = forward_backward(model, x_s, y_s, x_t, cfg, bank=bank,
-                              sc_active=True).report
+    out = forward_backward(model, x_s, y_s, x_t, cfg, bank=bank,
+                           sc_active=True)
     ref = two_pass_forward_backward(ref_model, x_s, y_s, x_t, cfg,
                                     bank=ref_bank, sc_active=True)
-    assert (report.l_sc != 0.0) == (consistency != "off")
+    assert (out.l_sc != 0.0) == (consistency != "off")
     for name in ("l_sup", "l_d", "l_sc", "total"):
-        assert getattr(report, name) == pytest.approx(getattr(ref, name),
-                                                      rel=1e-12, abs=0.0)
+        assert getattr(out, name) == pytest.approx(getattr(ref, name),
+                                                   rel=1e-12, abs=0.0)
     for net in ("encoder", "classifier", "discriminator"):
         np.testing.assert_allclose(getattr(model, net).flat_grads,
                                    getattr(ref_model, net).flat_grads,
                                    rtol=1e-12, atol=0.0)
 
 
-def test_lambda_sc_zero_with_diagnostics_tracks_scores():
+@pytest.mark.parametrize("pseudo_labels", ["knn", "classifier"])
+def test_consistency_labels_are_the_ones_the_loss_used(pseudo_labels):
+    from conftest import tiny_problem
+
+    model, cfg, x_s, y_s, x_t, bank = tiny_problem(
+        4, k=3, lambda_sc=0.5, pseudo_labels=pseudo_labels)
+    cons = forward_backward(model, x_s, y_s, x_t, cfg, bank=bank,
+                            sc_active=True).consistency
+    if pseudo_labels == "classifier":
+        # the argmax of the target rows' probabilities from the stacked pass
+        f, _ = encoder_forward(np.concatenate([x_s, x_t]), model.encoder)
+        probs, _, _ = classifier_forward(f, model.classifier)
+        expected = np.argmax(probs[len(x_s):], axis=1)
+    else:
+        expected = similarity.assign_pseudo_labels(
+            cons.sim, bank.labels(), cfg.k, model.num_classes).labels
+    np.testing.assert_array_equal(cons.labels, expected)
+    positives = bank.labels()[None, :] == cons.labels[:, None]
+    np.testing.assert_array_equal(cons.positives, np.flatnonzero(positives))
+
+
+def test_lambda_sc_zero_with_diagnostics_tracks_scores(monkeypatch):
+    vjp_calls = []
+    vjp = similarity.pairwise_similarity_vjp
+
+    def counting_vjp(*args, **kwargs):
+        vjp_calls.append(1)
+        return vjp(*args, **kwargs)
+
+    monkeypatch.setattr(similarity, "pairwise_similarity_vjp", counting_vjp)
     src, tgt = small_domains()
     cfg = small_config(lambda_sc=0.0, diagnostics="on")
     result = run_training(cfg, src, tgt)
     post = [r for r in result.history if r.bank_size >= cfg.gate_entries]
     assert any(r.mean_sim_avg != 0.0 for r in post)
+    # a diagnostics-only step runs the consistency forward, never its backward
+    assert vjp_calls == []
     # but the objective never sees the consistency term
     for r in result.history:
         assert r.total == pytest.approx(r.l_sup - cfg.lambda_adv * r.l_d, abs=1e-12)
