@@ -27,7 +27,6 @@ import argparse
 import dataclasses
 import json
 import math
-import statistics
 import sys
 import time
 import zipfile
@@ -75,9 +74,16 @@ ABLATE_AXES = ("bank_capacity", "tau", "k", "classes", "lambda_sc",
                "pseudo_labels", "similarity")
 
 
-def _convert(key: str, raw: str):
-    default = ALL_DEFAULTS[key]
-    if isinstance(default, bool):
+def _convert(key: str, raw):
+    """``raw`` as the type of ``key``'s default: a string is parsed, any other
+    value (a saved setting) must have that type already (an int may be a float)."""
+    kind = type(ALL_DEFAULTS[key])
+    if not isinstance(raw, str):
+        if type(raw) is kind or (kind is float and type(raw) is int):
+            return kind(raw)
+        raise ConfigurationError(
+            f"key {key!r}: expected {kind.__name__}, got {raw!r}")
+    if kind is bool:
         low = raw.strip().lower()
         if low in ("true", "1", "yes", "on"):
             return True
@@ -85,13 +91,9 @@ def _convert(key: str, raw: str):
             return False
         raise ConfigurationError(f"key {key!r}: expected a boolean, got {raw!r}")
     try:
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
+        return kind(raw.strip())
     except ValueError as exc:
         raise ConfigurationError(f"key {key!r}: {exc}") from exc
-    return raw.strip()
 
 
 def parse_config_file(path) -> dict:
@@ -119,7 +121,7 @@ def resolve_settings(config_path=None, overrides=None, base=None) -> dict:
     for key, raw in (overrides or {}).items():
         if key not in ALL_DEFAULTS:
             raise ConfigurationError(f"unknown key {key!r}")
-        settings[key] = _convert(key, raw) if isinstance(raw, str) else raw
+        settings[key] = _convert(key, raw)
     return settings
 
 
@@ -208,6 +210,8 @@ def load_model(path):
         data = np.load(path)
     except (ValueError, zipfile.BadZipFile) as exc:  # pickled or text data, bad zip
         raise DataFormatError(f"{path}: not an npz archive; retrain") from exc
+    if isinstance(data, np.ndarray):  # a lone .npy array
+        raise DataFormatError(f"{path}: a single array, not an npz archive; retrain")
     with data:
         if "settings_json" not in data:
             raise DataFormatError(f"{path}: no saved run settings; retrain")
@@ -335,7 +339,7 @@ def cmd_ablate(args) -> int:
             result = run_training(config, source, target)
             accs.append(result.evaluation.overall_accuracy)
             rows.append((raw, str(settings["seed"]), accs[-1]))
-        rows.append((raw, "median", statistics.median(accs)))
+        rows.append((raw, "median", float(np.median(accs))))
 
     table = outdir / "results.csv"
     with open(table, "w", encoding="utf-8", newline="\n") as fh:

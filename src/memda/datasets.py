@@ -174,8 +174,8 @@ def gen_gaussian_mixture(num_classes: int, dim: int, n_per_class: int,
     means = mixture_means(num_classes, dim, class_spread)
     rng = default_rng(seed)
     labels = np.repeat(np.arange(num_classes), n_per_class)
-    noise = rng.normal(0.0, within_class_std, size=(labels.size, dim))
-    feats = means[labels] + noise
+    feats = rng.normal(0.0, within_class_std, size=(labels.size, dim))
+    feats += means[labels]  # in place; addition commutes, so bits are equal
     return DomainDataset(feats, SOURCE, num_classes, labels)
 
 
@@ -195,7 +195,7 @@ def apply_domain_shift(dataset: DomainDataset, spec: ShiftSpec) -> DomainDataset
     x = dataset.features @ r.T
     if spec.noise > 0:
         rng = default_rng(spec.seed)
-        x = x + rng.normal(0.0, spec.noise, size=x.shape)
+        x += rng.normal(0.0, spec.noise, size=x.shape)
     return DomainDataset(x, TARGET, dataset.num_classes, dataset._labels.copy())
 
 
@@ -263,7 +263,9 @@ def load_feature_table(path, domain: str = SOURCE) -> DomainDataset:
                          np.array(labels, dtype=np.int64))
 
 
-@lru_cache(maxsize=16)
+# a run samples two domains, and a batch of at most n rows straddles at most
+# two epochs, so 4 entries serve every call; larger batches only recompute
+@lru_cache(maxsize=4)
 def _epoch_perm(n: int, seed: int, epoch: int) -> np.ndarray:
     perm = default_rng([seed, epoch]).permutation(n)
     perm.flags.writeable = False  # cached; callers only index it

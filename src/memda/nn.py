@@ -214,15 +214,19 @@ def build_model(
 # forward ops
 
 
+def _input_batch(x, net: MLP, name: str) -> np.ndarray:
+    """``x`` as a 2-D batch, checked against ``net``'s input width."""
+    x = as_batch(x)
+    if x.shape[1] != net.n_in:
+        raise ConfigurationError(f"{name} expects width {net.n_in}, got {x.shape[1]}")
+    return x
+
+
 def encoder_forward(x, encoder: MLP):
     """Embed a batch; returns (features, tape)."""
-    x = as_batch(x)
+    x = _input_batch(x, encoder, "encoder")
     if x.shape[0] == 0:
         raise ConfigurationError("empty batch")
-    if x.shape[1] != encoder.n_in:
-        raise ConfigurationError(
-            f"encoder expects width {encoder.n_in}, got {x.shape[1]}"
-        )
     return encoder.forward(x)
 
 
@@ -241,12 +245,7 @@ def softmax_vjp(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
 
 def classifier_forward(f, classifier: MLP):
     """Class probabilities for a feature batch; returns (probs, logits, tape)."""
-    f = as_batch(f)
-    if f.shape[1] != classifier.n_in:
-        raise ConfigurationError(
-            f"classifier expects width {classifier.n_in}, got {f.shape[1]}"
-        )
-    logits, tape = classifier.forward(f)
+    logits, tape = classifier.forward(_input_batch(f, classifier, "classifier"))
     if not np.all(np.isfinite(logits)):
         raise NumericalError("non-finite classifier logits")
     return softmax(logits), logits, tape
@@ -261,24 +260,15 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def clamp_probs(p: np.ndarray) -> np.ndarray:
-    return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-
-
 def discriminator_forward(h, discriminator: MLP):
     """Domain probability in [eps, 1-eps] for a conditioned batch.
 
     Returns (p, tape) with p of shape (n,). The clamp is a value clamp only;
     the backward pass treats it as the identity.
     """
-    h = as_batch(h)
-    if h.shape[1] != discriminator.n_in:
-        raise ConfigurationError(
-            f"discriminator expects width {discriminator.n_in}, got {h.shape[1]}"
-        )
-    z, tape = discriminator.forward(h)
-    p = clamp_probs(sigmoid(z[:, 0]))
-    return p, tape
+    z, tape = discriminator.forward(
+        _input_batch(h, discriminator, "discriminator"))
+    return np.clip(sigmoid(z[:, 0]), PROB_EPS, 1.0 - PROB_EPS), tape
 
 
 def gradient_reversal(g_in: np.ndarray, coeff: float, out=None) -> np.ndarray:

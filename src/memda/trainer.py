@@ -155,19 +155,20 @@ class SGD:
     def __init__(self, params, momentum: float, weight_decay: float):
         self.params = list(params)
         self.velocities = [np.zeros_like(p) for p in self.params]
-        self._scratch = [np.empty_like(p) for p in self.params]
         self.momentum = momentum
         self.weight_decay = weight_decay
 
     def step(self, grads, lr: float) -> None:
-        for p, v, g, s in zip(self.params, self.velocities, grads, self._scratch):
+        """Consumes ``grads``: once a gradient is in its velocity, its array
+        is the step's scratch, and it holds ``lr * v`` on return."""
+        for p, v, g in zip(self.params, self.velocities, grads):
             if not np.all(np.isfinite(g)):
                 raise NumericalError("non-finite gradient in SGD update")
             v *= self.momentum
             v += g
             if self.weight_decay:
-                v += np.multiply(self.weight_decay, p, out=s)
-            p -= np.multiply(lr, v, out=s)
+                v += np.multiply(self.weight_decay, p, out=g)
+            p -= np.multiply(lr, v, out=g)
 
 
 def lr_schedule(iteration: int, config: TrainConfig):
@@ -419,7 +420,8 @@ class RunResult:
 
 def run_training(config: TrainConfig, source: DomainDataset,
                  target: DomainDataset) -> RunResult:
-    """Train on the given domain pair and evaluate on the full target set."""
+    """Train on the given domain pair, then evaluate on the full target set;
+    the loop's state (bank, optimizer velocities) is gone by then."""
     config.validate()
     if source.dim != target.dim:
         raise ConfigurationError("source/target feature widths differ")
@@ -447,4 +449,6 @@ def run_training(config: TrainConfig, source: DomainDataset,
                 config,
             )
             history.append(record)
-    return RunResult(state.model, history, evaluate(state.model, target))
+    model = state.model
+    del state  # predict's activations need not sit on top of bank and velocities
+    return RunResult(model, history, evaluate(model, target))

@@ -383,6 +383,17 @@ def test_train_imports_neither_scipy_nor_numpy_ma(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+def test_cli_import_leaves_statistics_unloaded():
+    # a fresh interpreter: pytest itself may have imported statistics
+    script = "import sys\nimport memda.cli\nprint('statistics' in sys.modules)\n"
+    src = Path(memda.cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_package_root_imports_nothing():
     # a fresh interpreter: the test process itself has numpy loaded already
     script = (
@@ -509,6 +520,7 @@ MALFORMED = {  # case -> what the one-line message must say
     "settings-not-json": "bad array 'settings_json'",
     "settings-not-object": "bad array 'settings_json'",
     "num_classes-not-scalar": "bad array 'num_classes'",
+    "lone-npy": "not an npz archive",
 }
 
 
@@ -532,9 +544,51 @@ def test_eval_rejects_a_malformed_model(tmp_path, capsys, saved_model, case):
     np.savez(tmp_path / "bad.npz", **arrays)
     if case == "not-npz":
         (tmp_path / "bad.npz").write_text("not a zip archive\n")
-    assert main(["eval", "--model", str(tmp_path / "bad.npz")]) == 2
+    path = tmp_path / "bad.npz"
+    if case == "lone-npy":
+        path = tmp_path / "encoder.npy"
+        np.save(path, arrays["encoder"])
+    assert main(["eval", "--model", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and MALFORMED[case] in err
+
+
+BAD_SAVED_VALUES = [("tau", [1, 2]), ("k", 2.5), ("k", True), ("tau", True),
+                    ("multilinear", 1), ("similarity", 3), ("seed", None)]
+
+
+@pytest.mark.parametrize("key,value", BAD_SAVED_VALUES)
+def test_eval_rejects_a_saved_setting_of_the_wrong_type(tmp_path, capsys,
+                                                        saved_model, key, value):
+    with np.load(saved_model) as data:
+        arrays = {name: data[name] for name in data.files}
+    settings = json.loads(arrays["settings_json"].item())
+    arrays["settings_json"] = np.array(json.dumps({**settings, key: value}))
+    np.savez(tmp_path / "bad.npz", **arrays)
+    assert main(["eval", "--model", str(tmp_path / "bad.npz")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"key {key!r}" in err
+
+
+@pytest.mark.parametrize("key,value", BAD_SAVED_VALUES)
+def test_train_from_manifest_rejects_a_setting_of_the_wrong_type(
+        tmp_path, capsys, saved_model, key, value):
+    manifest = json.loads((saved_model.parent / "manifest.json").read_text())
+    manifest["settings"][key] = value
+    (tmp_path / "bad.json").write_text(json.dumps(manifest))
+    rc = main(["train", "--outdir", str(tmp_path / "D"),
+               "--from-manifest", str(tmp_path / "bad.json")])
+    assert rc == 2
+    assert f"key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "D").exists()
+
+
+def test_saved_settings_keep_their_types():
+    settings = resolve_settings(None, {"tau": 1, "k": 7, "multilinear": False,
+                                       "similarity": "gaussian"})
+    assert type(settings["tau"]) is float and settings["tau"] == 1.0
+    assert (settings["k"], settings["multilinear"]) == (7, False)
+    assert settings["similarity"] == "gaussian"
 
 
 def test_model_round_trip(tmp_path):

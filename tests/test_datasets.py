@@ -79,6 +79,23 @@ def test_empirical_class_means_concentrate():
         assert np.linalg.norm(emp - means[c]) <= 3.0 * std * np.sqrt(2.0 / n)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_generators_equal_their_out_of_place_formulas_bitwise(seed):
+    # the generators add in place; rebuilt here from the same RNG calls
+    classes, dim, per_class, spread, std = 50, 16, 200, 4.0, 1.0
+    ds = gen_gaussian_mixture(classes, dim, per_class, spread, std, seed=seed)
+    labels = np.repeat(np.arange(classes), per_class)
+    noise = np.random.default_rng(seed).normal(0.0, std, size=(labels.size, dim))
+    expected = mixture_means(classes, dim, spread)[labels] + noise
+    assert ds.features.tobytes() == expected.tobytes()
+
+    spec = ShiftSpec.from_degrees(30.0, noise=0.1, seed=seed + 2)
+    shifted = apply_domain_shift(ds, spec)
+    r = rotation_matrix(dim, spec.rotation)
+    noise = np.random.default_rng(spec.seed).normal(0.0, 0.1, size=expected.shape)
+    assert shifted.features.tobytes() == (ds.features @ r.T + noise).tobytes()
+
+
 def test_identity_shift_is_exact():
     ds = gen_gaussian_mixture(4, 4, 20, 3.0, 1.0, seed=1)
     shifted = apply_domain_shift(ds, ShiftSpec(rotation=0.0, noise=0.0))

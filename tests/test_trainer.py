@@ -1,9 +1,12 @@
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import memda.trainer
 from memda import similarity
 from memda.datasets import ShiftSpec, apply_domain_shift, gen_gaussian_mixture
 from memda.errors import ConfigurationError, NumericalError
@@ -90,6 +93,24 @@ def test_sgd_two_steps_momentum_recurrence():
     opt.step([np.array([1.0])], lr=0.1)
     opt.step([np.array([1.0])], lr=0.1)
     assert p[0] == pytest.approx(-0.29, abs=1e-15)
+
+
+def test_sgd_step_with_weight_decay_matches_the_reference_bitwise():
+    # the reference keeps every intermediate in its own array
+    rng = np.random.default_rng(5)
+    p = rng.normal(size=40)
+    p_ref, v_ref = p.copy(), np.zeros_like(p)
+    opt = SGD([p], momentum=0.9, weight_decay=5e-4)
+    for lr in (0.03, 0.02, 0.01):
+        g = rng.normal(size=p.size)
+        v_ref = 0.9 * v_ref + g
+        v_ref = v_ref + 5e-4 * p_ref
+        p_ref = p_ref - lr * v_ref
+        consumed = g.copy()
+        opt.step([consumed], lr)
+        assert p.tobytes() == p_ref.tobytes()
+        assert opt.velocities[0].tobytes() == v_ref.tobytes()
+        assert consumed.tobytes() == (lr * v_ref).tobytes()  # the step's scratch
 
 
 def test_sgd_rejects_non_finite_gradient():
@@ -217,6 +238,32 @@ def test_one_update_per_network_per_iteration(monkeypatch):
                    tgt.features[rows], None, it, cfg)
         assert sorted(updated) == sorted(id(net.flat_grads) for net in nets)
         updated.clear()
+
+
+def test_loop_state_is_released_before_evaluation(monkeypatch):
+    refs = {}
+    make_state, evaluate = memda.trainer.init_state, memda.trainer.evaluate
+
+    def recording_init_state(*args):
+        state = make_state(*args)
+        refs["bank"] = weakref.ref(state.bank)
+        refs["velocity"] = weakref.ref(state.opt_encoder.velocities[0])
+        return state
+
+    alive = []
+
+    def checking_evaluate(model, target):
+        gc.collect()
+        alive.extend(name for name, ref in refs.items() if ref() is not None)
+        return evaluate(model, target)
+
+    monkeypatch.setattr(memda.trainer, "init_state", recording_init_state)
+    monkeypatch.setattr(memda.trainer, "evaluate", checking_evaluate)
+    src, tgt = small_domains()
+    result = run_training(small_config(), src, tgt)
+    assert sorted(refs) == ["bank", "velocity"]
+    assert alive == []
+    assert 0.0 <= result.evaluation.overall_accuracy <= 1.0
 
 
 def test_seed_determinism_end_to_end():
