@@ -74,9 +74,6 @@ class MemoryBank:
         mask = self._mask[:size].reshape(shape)
         return flat[0].reshape(shape), flat[1].reshape(shape), mask
 
-    def ready(self, min_entries: int) -> bool:
-        return self._size >= min_entries
-
     def enqueue(self, features, labels) -> None:
         """Append a batch, evicting the oldest overflow entries if needed."""
         feats = np.array(features, dtype=np.float64, copy=True)

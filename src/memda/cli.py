@@ -220,8 +220,9 @@ def load_model(path):
                                   for key in ("input_dim", "num_classes"))
         settings = resolve_settings(None, _read_array(
             path, data, "settings_json", lambda a: dict(json.loads(a.item()))))
-        model = init_state(train_config_from(settings), input_dim,
-                           num_classes).model
+        config = train_config_from(settings)
+        config.validate()  # a bad saved size fails here, not in the networks
+        model = init_state(config, input_dim, num_classes).model
         for name, saved in zip(NETWORKS, vectors):
             net = getattr(model, name)
             if saved.shape != net.flat_params.shape:

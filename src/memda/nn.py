@@ -171,10 +171,6 @@ class ModelBundle:
                                      repr=False, compare=False)
 
     @property
-    def embed_dim(self) -> int:
-        return self.encoder.n_out
-
-    @property
     def num_classes(self) -> int:
         return self.classifier.n_out
 
@@ -197,9 +193,10 @@ def build_model(
     multilinear: bool = True,
     seed: int = 0,
 ) -> ModelBundle:
-    """Deterministically initialize the encoder/classifier/discriminator stack."""
-    if (min(input_dim, embed_dim, num_classes, disc_hidden) < 1
-            or encoder_layers < 0 or (encoder_layers and encoder_hidden < 1)):
+    """Deterministically initialize the encoder/classifier/discriminator
+    stack. The sizes are ``TrainConfig.validate``'s to check; the data's
+    widths are checked here."""
+    if min(input_dim, num_classes) < 1:
         raise ConfigurationError("model dimensions must be positive")
     rng = np.random.default_rng(seed)
     enc_sizes = [input_dim] + [encoder_hidden] * encoder_layers + [embed_dim]

@@ -9,9 +9,10 @@ forward and once backward per step, assembling
 with the discriminator trained on l_d in the same pass: its own parameters
 get the plain l_d gradient while the encoder/classifier side receives the
 reversed, lambda_adv-scaled gradient through the conditioned input. Once
-bootstrap is over and the bank is ready, the consistency branch runs if
-consistency is on and lambda_sc > 0 or diagnostics are "on"; its backward
-runs only if lambda_sc > 0. SGD updates each network once per iteration.
+bootstrap is over and the bank holds ``gate_entries`` rows, the consistency
+branch runs if consistency is on and lambda_sc > 0 or diagnostics are "on";
+its backward runs only if lambda_sc > 0. SGD updates each network once per
+iteration.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ CLASSIFIER = "classifier"
 MEMORY = "memory"
 BATCH = "batch"
 OFF = "off"
-ALL_COMPONENTS = frozenset({"sup", "adv", "sc"})
 PREDICT_CHUNK = 512  # rows per network pass in predict()
 
 
@@ -114,6 +114,12 @@ class TrainConfig:
         if self.condition_backprop not in ("feature", "both"):
             raise ConfigurationError(
                 f"unknown condition_backprop mode {self.condition_backprop!r}")
+        for key in ("seed", "min_bank_entries"):
+            if getattr(self, key) < 0:
+                raise ConfigurationError(f"key {key!r} must be >= 0")
+        if (min(self.embed_dim, self.disc_hidden) < 1 or self.encoder_layers < 0
+                or (self.encoder_layers and self.encoder_hidden < 1)):
+            raise ConfigurationError("model dimensions must be positive")
         simmod.SimilarityKind(self.similarity, self.gaussian_sigma)
         if self.consistency == MEMORY and self.bank_capacity < self.gate_entries:
             raise ConfigurationError(
@@ -197,23 +203,23 @@ class StepOutput:
 
 def forward_backward(model: ModelBundle, x_source, y_source, x_target,
                      config: TrainConfig, bank: MemoryBank | None = None,
-                     sc_active: bool = False, lambda_adv: float | None = None,
-                     components: frozenset = ALL_COMPONENTS) -> StepOutput:
+                     sc_active: bool = False,
+                     lambda_adv: float | None = None) -> StepOutput:
     """One combined pass; each network's gradient is written in place.
 
     Source and target rows are stacked into one batch, so each network runs
     one forward and one backward; the first ``len(x_source)`` rows of every
-    activation are the source's. ``sc_active`` enables the consistency
-    branch (the trainer gates it on bootstrap and bank fill). Its reference
-    set is ``bank`` in memory mode; in batch mode it is a fresh bank of
-    capacity ``len(x_source)`` holding the detached source features, and
-    ``bank`` is not read. ``components`` restricts which objective terms
-    contribute, which the gradient-check harness uses to isolate one term
-    at a time.
+    activation are the source's. ``sc_active`` alone enables the consistency
+    branch; ``train_step`` sets it only with consistency on, after bootstrap
+    and once the bank is full enough. Its reference set is ``bank`` in memory
+    mode; in batch mode it is a fresh bank of capacity ``len(x_source)``
+    holding the detached source features, and ``bank`` is not read.
+    ``lambda_adv`` defaults to the config's; at 0 the discriminator does not
+    run and its gradient is zero.
     """
     if lambda_adv is None:
         lambda_adv = config.lambda_adv
-    adversarial = "adv" in components and lambda_adv > 0
+    adversarial = lambda_adv > 0
     if not adversarial:  # the discriminator's backward will not write
         model.discriminator.zero_grads()
 
@@ -226,12 +232,11 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
     g, _, tape_c = classifier_forward(f, model.classifier)
     f_s, f_t = f[:ns], f[ns:]
 
-    l_sup = l_d = l_sc = 0.0
+    l_d = l_sc = 0.0
     dprobs = np.zeros_like(g)
     df = np.zeros_like(f)
 
-    if "sup" in components:
-        l_sup, dprobs[:ns] = losses.supervised_loss(g[:ns], y_source)
+    l_sup, dprobs[:ns] = losses.supervised_loss(g[:ns], y_source)
 
     if adversarial:
         # the conditioned batch lives in the model's resident buffer, which
@@ -257,7 +262,7 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
             df += dh
 
     consistency = None
-    if "sc" in components and sc_active and config.consistency != OFF:
+    if sc_active:
         pseudo = None
         if config.pseudo_labels == CLASSIFIER:
             pseudo = np.argmax(g[ns:], axis=1)
@@ -327,9 +332,7 @@ def train_step(state: TrainerState, x_source, y_source, x_target, y_target_eval,
     want_sc = not bootstrap and config.consistency != OFF and (
         config.lambda_sc > 0 or config.diagnostics == "on")
     sc_active = want_sc and (
-        config.consistency == BATCH
-        or bank.ready(config.gate_entries)
-    )
+        config.consistency == BATCH or len(bank) >= config.gate_entries)
 
     out = forward_backward(model, x_source, y_source, x_target, config,
                            bank=bank, sc_active=sc_active,

@@ -17,14 +17,7 @@ from memda.nn import (
     gradient_reversal,
     softmax_vjp,
 )
-from memda.trainer import (
-    ALL_COMPONENTS,
-    BATCH,
-    CLASSIFIER,
-    OFF,
-    TrainConfig,
-    forward_backward,
-)
+from memda.trainer import BATCH, CLASSIFIER, TrainConfig, forward_backward
 
 
 def naive_consistency(sim, pos_mask, tau):
@@ -66,8 +59,7 @@ def filled_bank(rows, kind, labels=None):
 
 
 def two_pass_forward_backward(model, x_source, y_source, x_target, config,
-                              bank=None, sc_active=False, lambda_adv=None,
-                              components=ALL_COMPONENTS):
+                              bank=None, sc_active=False, lambda_adv=None):
     """Reference for ``trainer.forward_backward``: every network runs once
     on the source batch and once on the target batch, forward and backward,
     and the domains' gradients are kept apart until the parameters sum them.
@@ -87,10 +79,9 @@ def two_pass_forward_backward(model, x_source, y_source, x_target, config,
     dprobs_s, dprobs_t = np.zeros_like(g_s), np.zeros_like(g_t)
     df_s, df_t = np.zeros_like(f_s), np.zeros_like(f_t)
 
-    if "sup" in components:
-        report.l_sup, dsup = losses.supervised_loss(g_s, y_source)
-        dprobs_s += dsup
-    if "adv" in components and lambda_adv > 0:
+    report.l_sup, dsup = losses.supervised_loss(g_s, y_source)
+    dprobs_s += dsup
+    if lambda_adv > 0:
         if model.multilinear:
             h_s = losses.multilinear_map(f_s, g_s)
             h_t = losses.multilinear_map(f_t, g_t)
@@ -115,7 +106,7 @@ def two_pass_forward_backward(model, x_source, y_source, x_target, config,
         else:
             df_s += dh_s
             df_t += dh_t
-    if "sc" in components and sc_active and config.consistency != OFF:
+    if sc_active:
         pseudo = (np.argmax(g_t, axis=1)
                   if config.pseudo_labels == CLASSIFIER else None)
         if config.consistency == BATCH:
@@ -191,15 +182,21 @@ def tiny_problem(seed, *, input_dim=6, embed_dim=8, num_classes=5, batch=4,
     return model, cfg, x_s, y_s, x_t, bank
 
 
+# term -> (lambda_adv, sc_active) of the objective that isolates it; None
+# keeps the config's lambda_adv
+TERM_COEFFICIENTS = {"sup": (0.0, False), "adv": (None, False), "sc": (0.0, True)}
+
+
 def component_closure(model, cfg, x_s, y_s, x_t, bank, component, side):
     """Build (loss_fn, params) for finite_difference_check.
 
-    ``side`` selects the parameter group: "theta" checks encoder+classifier
-    against the term's weighted contribution to the objective, "omega"
-    checks the discriminator against the raw domain loss.
+    Each term is isolated through the objective's own coefficients: "sup"
+    is l_sup alone, "adv" is l_sup - lambda_adv * l_d and "sc" is l_sup +
+    lambda_sc * l_sc. ``side`` selects the parameter group: "theta" checks
+    encoder+classifier against that objective, "omega" checks the
+    discriminator against the raw domain loss.
     """
-    components = ALL_COMPONENTS if component == "all" else frozenset({component})
-    sc_active = "sc" in components
+    lambda_adv, sc_active = TERM_COEFFICIENTS[component]
 
     # every layer tensor is a view into its network's flat vectors
     nets = ((model.encoder, model.classifier) if side == "theta"
@@ -208,7 +205,7 @@ def component_closure(model, cfg, x_s, y_s, x_t, bank, component, side):
 
     def loss_fn():
         out = forward_backward(model, x_s, y_s, x_t, cfg, bank=bank,
-                               sc_active=sc_active, components=components)
+                               sc_active=sc_active, lambda_adv=lambda_adv)
         value = out.l_d if side == "omega" else out.total
         return value, [net.flat_grads.copy() for net in nets]
 

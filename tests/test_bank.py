@@ -104,15 +104,6 @@ def test_stored_features_are_detached_copies():
     assert np.array_equal(bank.rows, before)
 
 
-def test_bank_ready_thresholds():
-    bank = MemoryBank(1000, 2, EUC)
-    assert not bank.ready(1)
-    assert bank.ready(0)
-    bank.enqueue(np.ones((160, 2)), np.zeros(160, dtype=int))
-    assert bank.ready(25)
-    assert not bank.ready(161)
-
-
 def test_momentum_update_mu_zero_is_bitwise_copy():
     fast = build_model(input_dim=3, embed_dim=4, num_classes=2, seed=1).encoder
     slow = build_model(input_dim=3, embed_dim=4, num_classes=2, seed=2).encoder

@@ -228,6 +228,39 @@ def test_train_with_bad_settings_writes_nothing(tmp_path, monkeypatch, flags):
     assert not Path("D").exists()
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--seed", "-1"], "'seed'"),
+    (["--min-bank-entries", "-3"], "'min_bank_entries'"),
+    (["--embed-dim", "0"], "model dimensions"),
+    (["--encoder-hidden", "0"], "model dimensions"),
+    (["--encoder-layers", "-1"], "model dimensions"),
+    (["--disc-hidden", "0"], "model dimensions"),
+])
+def test_train_refuses_a_bad_count_before_writing(tmp_path, capsys, flags, named):
+    outdir = tmp_path / "run"
+    assert main(["train", "--outdir", str(outdir)] + tiny_flags() + flags) == 2
+    assert named in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_gen_data_refuses_a_negative_seed(tmp_path, capsys):
+    assert main(["gen-data", "--out", str(tmp_path / "d" / "x"),
+                 "--seed", "-1"]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_eval_refuses_a_bad_saved_model_size(tmp_path, capsys, saved_model):
+    with np.load(saved_model) as data:
+        arrays = dict(data)
+    settings = json.loads(arrays["settings_json"].item())
+    arrays["settings_json"] = np.array(json.dumps({**settings, "embed_dim": 0}))
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    assert main(["eval", "--model", str(bad)]) == 2
+    assert "model dimensions" in capsys.readouterr().err
+
+
 def test_train_on_feature_tables(tmp_path):
     assert main(["gen-data", "--out", str(tmp_path / "d"),
                  "--classes", "4", "--input-dim", "5", "--per-class", "15"]) == 0
@@ -348,6 +381,7 @@ def test_ablate_unknown_axis(tmp_path):
     ("tau", "0.07,0.5,-1", "0", "tau"),
     ("classes", "5,0", "0", "classes"),
     ("tau", "0.07", "0", "shift_noise"),  # bad base setting: shift_noise nan
+    ("tau", "0.07", "-1", "seed"),
 ])
 def test_ablate_rejects_a_bad_grid_before_any_run(tmp_path, capsys, monkeypatch,
                                                   axis, values, seeds, key):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     component_closure,
@@ -143,11 +145,14 @@ def test_adversarial_is_negated_discriminator_loss():
     model, cfg, x_s, y_s, x_t, bank = tiny_problem(3)
     from memda.trainer import forward_backward
 
-    # alone, the adversarial term is the weighted, negated domain loss
-    out = forward_backward(model, x_s, y_s, x_t, cfg, bank=bank,
-                           components=frozenset({"adv"}))
-    assert out.l_d > 0.0
-    assert out.total == -cfg.lambda_adv * out.l_d
+    # at lambda_adv = 0 the objective is l_sup alone; switched on, the
+    # adversarial term adds the weighted, negated domain loss
+    plain = forward_backward(model, x_s, y_s, x_t, cfg, bank=bank,
+                             lambda_adv=0.0)
+    assert plain.l_d == 0.0 and plain.total == plain.l_sup
+    out = forward_backward(model, x_s, y_s, x_t, cfg, bank=bank)
+    assert out.l_d > 0.0 and out.l_sup == plain.l_sup
+    assert out.total == out.l_sup - cfg.lambda_adv * out.l_d
     r = forward_backward(model, x_s, y_s, x_t, cfg, bank=bank,
                          sc_active=True)
     assert r.l_sc > 0.0
@@ -326,6 +331,62 @@ def test_consistency_nonnegative_and_zero_iff_full_mass():
             sim, np.flatnonzero(pos), 0.5)
         assert value >= 0.0
         assert np.all(per_anchor >= 0.0)
+
+
+@st.composite
+def similarity_cases(draw):
+    """(sim, positive mask, tau): cosine-range scores over up to 64
+    references, a temperature the positive set cannot swamp to rounding."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=64))
+    tau = draw(st.floats(min_value=0.1, max_value=1.0))
+    share = draw(st.floats(min_value=0.0, max_value=1.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    return rng.uniform(-1.0, 1.0, size=(n, m)), rng.uniform(size=(n, m)) < share, tau
+
+
+def supcon_per_anchor(sim, pos, tau):
+    """Oracle: the per-anchor SupCon term of Khosla et al. (2020, arXiv
+    2004.11362), -(1/|P|) sum over P of log softmax(sim / tau), for every
+    anchor with a nonempty positive set P."""
+    z = sim / tau
+    top = z.max(axis=1, keepdims=True)
+    log_softmax = z - top - np.log(np.exp(z - top).sum(axis=1, keepdims=True))
+    return np.array([-log_softmax[j][pos[j]].mean() for j in range(len(sim))
+                     if pos[j].any()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(similarity_cases())
+def test_consistency_gradient_rows_sum_to_zero(case):
+    sim, pos, tau = case
+    _, dsim, _, _ = consistency_from_similarity(sim, np.flatnonzero(pos), tau)
+    # each row is softmax mass minus positive-set mass, scaled by 1/(tau n)
+    assert np.abs(tau * len(sim) * dsim.sum(axis=1)).max() <= 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(similarity_cases())
+def test_consistency_pulls_positives_and_pushes_negatives(case):
+    sim, pos, tau = case
+    _, dsim, _, _ = consistency_from_similarity(sim, np.flatnonzero(pos), tau)
+    assert np.all(dsim[pos] <= 0.0)
+    assert np.all(dsim[~pos] >= 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(similarity_cases())
+def test_consistency_is_bounded_by_supcon_minus_log_positives(case):
+    sim, pos, tau = case
+    _, _, per_anchor, _ = consistency_from_similarity(sim, np.flatnonzero(pos), tau)
+    has_pos = pos.any(axis=1)
+    sizes = pos.sum(axis=1)[has_pos]
+    # Jensen's inequality (log of a mean >= mean of the logs) over P gives
+    # loss_j <= SupCon_j - log|P_j|, with equality at |P_j| = 1
+    bound = supcon_per_anchor(sim, pos, tau) - np.log(sizes)
+    ours = per_anchor[has_pos]
+    assert np.all(ours <= bound + 1e-12)
+    assert np.all(np.abs(ours - bound)[sizes == 1] <= 1e-12)
 
 
 def test_gating_violation():

@@ -104,11 +104,6 @@ def test_encoder_shape_mismatch():
         encoder_forward(np.zeros((2, 4)), model.encoder)
     with pytest.raises(ConfigurationError):
         encoder_forward(np.zeros((0, 5)), model.encoder)
-    # zero-width hidden layers are refused; without hidden layers the width
-    # is unused
-    with pytest.raises(ConfigurationError):
-        build_model(input_dim=5, embed_dim=3, encoder_hidden=0, seed=0)
-    build_model(input_dim=5, embed_dim=3, encoder_hidden=0, encoder_layers=0, seed=0)
 
 
 def test_softmax_uniform_on_zero_logits():
