@@ -1,10 +1,12 @@
 """Command-line front end: gen-data, train, ablate, eval.
 
-Configuration is a flat ``key = value`` text file ('#' comments); every key
-can be overridden by a same-named flag (--batch-size overrides batch_size).
-Settings (``check_settings``) and data are checked before anything is
-written; a run then writes its manifest before training starts, then a
-per-iteration metrics CSV, a summary report and the trained model.
+Every subcommand resolves its settings in ``resolve_settings``, in layers:
+the defaults; then a base (a manifest's ``settings`` for ``train
+--from-manifest``, the saved run's for ``eval``); then a flat ``key = value``
+config file ('#' comments); then one flag per key (--batch-size sets
+batch_size). Settings (``check_settings``) and data are checked before
+anything is written; a run then writes its manifest before training starts,
+then a per-iteration metrics CSV, a summary report and the trained model.
 ``metrics.csv`` has one column per ``trainer.IterationRecord`` field, in
 field order (``iteration`` is headed ``iter``): floats as ``repr``, ints
 as ``str``.
@@ -15,7 +17,8 @@ layer's weights, then its bias, in layer order); ``settings_json``, the
 run's resolved settings; and ``input_dim`` and ``num_classes``, from which
 ``load_model`` rebuilds the networks before it copies the vectors in.
 
-Exit codes: 0 success; 2 bad configuration, data file or missing file;
+Exit codes: 0 success; 2 bad configuration or data file, or a file that
+cannot be read or written;
 3 numerical failure (non-finite loss, logits or gradient); 4 degenerate
 input (e.g. a zero-norm feature for the cosine kernel); 5 gating violation.
 Each comes from the ``exit_code`` of the package error (``memda.errors``).
@@ -46,7 +49,7 @@ from .datasets import (
     save_feature_table,
 )
 from .errors import ConfigurationError, DataFormatError, MemdaError
-from .trainer import RunResult, TrainConfig, evaluate, init_state, run_training
+from .trainer import RunResult, TrainConfig, evaluate, init_model, run_training
 
 RECORD_FIELDS = [f.name for f in dataclasses.fields(trainer.IterationRecord)]
 CSV_COLUMNS = ["iter", *RECORD_FIELDS[1:]]
@@ -113,15 +116,31 @@ def parse_config_file(path) -> dict:
     return settings
 
 
-def resolve_settings(config_path=None, overrides=None, base=None) -> dict:
-    """``base`` (default: the defaults), then the config file, then flags."""
-    settings = dict(base or ALL_DEFAULTS)
-    if config_path:
-        settings.update(parse_config_file(config_path))
-    for key, raw in (overrides or {}).items():
-        if key not in ALL_DEFAULTS:
-            raise ConfigurationError(f"unknown key {key!r}")
-        settings[key] = _convert(key, raw)
+def resolve_settings(config_path=None, flags=None, base=None) -> dict:
+    """The defaults, then ``base`` (saved settings), then the config file,
+    then ``flags``. Every key must be a setting, and every value is
+    converted to its default's type."""
+    settings = dict(ALL_DEFAULTS)
+    config = parse_config_file(config_path) if config_path else {}
+    for layer in (base or {}, config, flags or {}):
+        for key, raw in layer.items():
+            if key not in ALL_DEFAULTS:
+                raise ConfigurationError(f"unknown key {key!r}")
+            settings[key] = _convert(key, raw)
+    return settings
+
+
+def manifest_settings(path) -> dict:
+    """The ``settings`` object of the manifest at ``path``; a file that is
+    not a JSON object with a ``settings`` object raises ``DataFormatError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: not JSON ({exc})") from exc
+    settings = manifest.get("settings") if isinstance(manifest, dict) else None
+    if not isinstance(settings, dict):
+        raise DataFormatError(f"{path}: no 'settings' object; not a manifest")
     return settings
 
 
@@ -218,11 +237,11 @@ def load_model(path):
         vectors = [_read_array(path, data, name) for name in NETWORKS]
         input_dim, num_classes = (_read_array(path, data, key, int)
                                   for key in ("input_dim", "num_classes"))
-        settings = resolve_settings(None, _read_array(
+        settings = resolve_settings(base=_read_array(
             path, data, "settings_json", lambda a: dict(json.loads(a.item()))))
         config = train_config_from(settings)
         config.validate()  # a bad saved size fails here, not in the networks
-        model = init_state(config, input_dim, num_classes).model
+        model = init_model(config, input_dim, num_classes)
         for name, saved in zip(NETWORKS, vectors):
             net = getattr(model, name)
             if saved.shape != net.flat_params.shape:
@@ -297,12 +316,8 @@ def run_from_settings(settings: dict, outdir: Path) -> RunResult:
 
 
 def cmd_train(args) -> int:
-    if args.from_manifest:
-        with open(args.from_manifest, "r", encoding="utf-8") as fh:
-            settings = json.load(fh)["settings"]
-        settings = resolve_settings(None, settings)
-    else:
-        settings = resolve_settings(args.config, _collect_overrides(args))
+    base = manifest_settings(args.from_manifest) if args.from_manifest else None
+    settings = resolve_settings(args.config, _collect_overrides(args), base)
     result = run_from_settings(settings, Path(args.outdir))
     acc = result.evaluation.overall_accuracy
     print(f"done: target accuracy {acc:.4f}, artifacts in {args.outdir}")
@@ -313,20 +328,17 @@ def cmd_ablate(args) -> int:
     if args.axis not in ABLATE_AXES:
         raise ConfigurationError(
             f"unknown sweep axis {args.axis!r}; choose from {', '.join(ABLATE_AXES)}")
-    base = resolve_settings(args.config, _collect_overrides(args))
+    flags = _collect_overrides(args)
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not values:
         raise ConfigurationError("value list is empty")
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(f"key 'seeds': {exc}") from exc
+    seeds = [s for s in args.seeds.split(",") if s.strip()]
     if not seeds:
         raise ConfigurationError("key 'seeds': the seed list is empty")
-    grid = []  # every grid point is converted and checked before any run
+    grid = []  # every grid point is resolved and checked before any run
     for raw in values:
-        value = _convert(args.axis, raw)
-        runs = [{**base, args.axis: value, "seed": s} for s in seeds]
+        runs = [resolve_settings(args.config, {**flags, args.axis: raw, "seed": s})
+                for s in seeds]
         grid.append((raw, [(settings, check_settings(settings))
                            for settings in runs]))
     outdir = Path(args.outdir)
@@ -374,18 +386,17 @@ def cmd_eval(args) -> int:
 
 
 def _add_setting_flags(parser) -> None:
-    for key in ALL_DEFAULTS:
-        parser.add_argument("--" + key.replace("_", "-"), dest=f"set_{key}",
-                            default=None, metavar="V", help=argparse.SUPPRESS)
+    """One flag per setting; only the flags given reach the namespace."""
+    for key, default in ALL_DEFAULTS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            default=argparse.SUPPRESS,
+                            metavar=type(default).__name__.upper(),
+                            help=f"default {json.dumps(default)}")
 
 
 def _collect_overrides(args) -> dict:
-    out = {}
-    for key in ALL_DEFAULTS:
-        raw = getattr(args, f"set_{key}", None)
-        if raw is not None:
-            out[key] = raw
-    return out
+    """The setting flags given on the command line, as raw strings."""
+    return {key: raw for key, raw in vars(args).items() if key in ALL_DEFAULTS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--config", default=None)
     tr.add_argument("--outdir", required=True)
     tr.add_argument("--from-manifest", default=None,
-                    help="re-run the exact settings of a saved manifest")
+                    help="start from a saved manifest's settings; --config "
+                         "and the flags below apply on top")
     _add_setting_flags(tr)
     tr.set_defaults(func=cmd_train)
 
@@ -435,7 +447,7 @@ def main(argv=None) -> int:
     except MemdaError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable or unwritable
         print(f"error: {exc}", file=sys.stderr)
         return ConfigurationError.exit_code
 

@@ -128,6 +128,12 @@ class TrainConfig:
                 f"(min_bank_entries, else 5*k with k={self.k}), so it would "
                 f"never switch on: raise bank_capacity or lower "
                 f"min_bank_entries or k")
+        if (self.consistency == BATCH and self.pseudo_labels == KNN
+                and self.batch_size < self.k):
+            raise ConfigurationError(
+                f"batch_size {self.batch_size} is below k={self.k}: batch "
+                f"consistency votes over the current source batch, so the "
+                f"kNN vote needs batch_size >= k")
 
     @property
     def gate_entries(self) -> int:
@@ -293,11 +299,11 @@ class TrainerState:
     last_good: IterationRecord | None = None
 
 
-def init_state(config: TrainConfig, input_dim: int, num_classes: int) -> TrainerState:
-    """The untrained model, bank and optimizers a run of ``config`` starts
-    from. ``cli.load_model`` builds a saved model's networks here too, then
-    copies each network's saved flat parameter vector into ``flat_params``."""
-    model = build_model(
+def init_model(config: TrainConfig, input_dim: int, num_classes: int) -> ModelBundle:
+    """The untrained networks of ``config`` for data of these widths.
+    ``cli.load_model`` builds a saved model's networks here too, then copies
+    each network's saved flat parameter vector into ``flat_params``."""
+    return build_model(
         input_dim=input_dim,
         embed_dim=config.embed_dim,
         num_classes=num_classes,
@@ -307,6 +313,12 @@ def init_state(config: TrainConfig, input_dim: int, num_classes: int) -> Trainer
         multilinear=config.multilinear,
         seed=config.seed,
     )
+
+
+def init_state(config: TrainConfig, input_dim: int, num_classes: int) -> TrainerState:
+    """The untrained model, bank and optimizers a run of ``config`` starts
+    from."""
+    model = init_model(config, input_dim, num_classes)
     bank = (MemoryBank(config.bank_capacity, config.embed_dim,
                        config.similarity_kind)
             if config.consistency == MEMORY else None)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 import memda.cli
+import memda.trainer
 from memda.cli import (
+    ALL_DEFAULTS,
     CSV_COLUMNS,
     load_model,
     main,
@@ -204,6 +207,86 @@ def test_train_manifest_reproduces_csv(tmp_path):
     assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
 
 
+@pytest.mark.parametrize("layer,override", [
+    (["--seed", "5"], {"seed": 5}),
+    (["--config", "over.cfg"], {"tau": 0.5, "lambda_sc": 1.0}),
+], ids=["flag", "config"])
+def test_train_from_manifest_applies_config_and_flags_on_top(
+        tmp_path, monkeypatch, saved_model, layer, override):
+    monkeypatch.chdir(tmp_path)
+    Path("over.cfg").write_text("tau = 0.5\nlambda_sc = 1\n")
+    manifest = saved_model.parent / "manifest.json"
+    assert main(["train", "--outdir", "layered", "--from-manifest", str(manifest)]
+                + layer) == 0
+    assert main(["train", "--outdir", "plain"] + tiny_flags(**override)) == 0
+    layered = Path("layered/metrics.csv").read_bytes()
+    assert layered == Path("plain/metrics.csv").read_bytes()
+    assert layered != (saved_model.parent / "metrics.csv").read_bytes()
+    saved = json.loads(Path("layered/manifest.json").read_text())["settings"]
+    assert {key: saved[key] for key in override} == override
+
+
+def test_train_help_lists_every_setting_with_its_default(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["train", "--help"])
+    assert exited.value.code == 0
+    out = capsys.readouterr().out
+    assert re.search(r"\n  --bank-capacity INT +default 4096\n", out)
+    for key in ALL_DEFAULTS:
+        assert f"[--{key.replace('_', '-')} " in out
+
+
+UNREADABLE = {  # case -> command line, run beside the inputs of the test
+    "config-is-a-directory": ["train", "--outdir", "D", "--config", "dir"],
+    "tables-are-directories": ["train", "--outdir", "D", "--source-table", "dir",
+                               "--target-table", "dir"],
+    "model-is-a-directory": ["eval", "--model", "dir"],
+    "config-not-utf8": ["train", "--outdir", "D", "--config", "latin1.cfg"],
+    "tables-not-utf8": ["train", "--outdir", "D", "--source-table", "latin1.csv",
+                        "--target-table", "latin1.csv"],
+    "outdir-under-a-file": ["train", "--outdir", "file/D"],
+    "out-under-a-file": ["gen-data", "--out", "file/D/x"],
+    "manifest-not-json": ["train", "--outdir", "D", "--from-manifest", "file"],
+    "manifest-without-settings": ["train", "--outdir", "D",
+                                  "--from-manifest", "no-settings.json"],
+    "manifest-is-a-list": ["train", "--outdir", "D", "--from-manifest", "list.json"],
+    "manifest-settings-not-object": ["train", "--outdir", "D",
+                                     "--from-manifest", "list-settings.json"],
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
+                                                case):
+    monkeypatch.chdir(tmp_path)
+    Path("dir").mkdir()
+    Path("file").write_text("a regular file\n")
+    Path("latin1.cfg").write_bytes("tau = 0.5  # \u00e9\n".encode("latin-1"))
+    Path("latin1.csv").write_bytes("2,2\n0,1.0,2.0  # \u00e9\n".encode("latin-1"))
+    Path("no-settings.json").write_text('{"tool": "memda"}\n')
+    Path("list.json").write_text("[1, 2]\n")
+    Path("list-settings.json").write_text('{"settings": [1, 2]}\n')
+    argv = UNREADABLE[case]
+    assert main(argv + ([] if argv[0] == "eval" else tiny_flags())) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not Path("D").exists() and not Path("file").is_dir()
+
+
+def test_batch_knn_needs_k_rows_per_batch_before_writing(tmp_path, capsys):
+    outdir = tmp_path / "run"
+    rc = main(["train", "--outdir", str(outdir)] + tiny_flags(
+        consistency="batch", batch_size=3, k=5))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "batch_size 3" in err and "k=5" in err
+    assert not outdir.exists()
+    # classifier pseudo-labels never vote, so they take any batch size
+    train_config_from(resolve_settings(None, {
+        "consistency": "batch", "pseudo_labels": "classifier",
+        "batch_size": "3", "k": "5"})).validate()
+
+
 def test_train_unknown_key_fails_with_exit_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("warp_speed = 9\n")
@@ -375,7 +458,7 @@ def test_ablate_unknown_axis(tmp_path):
 
 
 @pytest.mark.parametrize("axis,values,seeds,key", [
-    ("tau", "0.07", "0,x", "seeds"),
+    ("tau", "0.07", "0,x", "'seed'"),  # each seed is a grid point's 'seed'
     ("tau", "0.07", ",", "seeds"),
     ("bank_capacity", "32,64,x", "0", "bank_capacity"),
     ("tau", "0.07,0.5,-1", "0", "tau"),
@@ -503,6 +586,15 @@ def test_eval_reads_the_model_file_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np, "load", counting_load)
     assert main(["eval", "--model", str(run_dir / "model.npz")]) == 0
     assert len(opened) == 1
+
+
+def test_eval_builds_only_the_networks(monkeypatch, saved_model):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval built a bank or an optimizer")
+
+    monkeypatch.setattr(memda.trainer, "MemoryBank", refuse)
+    monkeypatch.setattr(memda.trainer, "SGD", refuse)
+    assert main(["eval", "--model", str(saved_model)]) == 0
 
 
 @pytest.mark.parametrize("flag,value", [("--rotation-deg", "nan"),
