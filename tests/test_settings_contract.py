@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from memda.cli import ABLATE_AXES, ALL_DEFAULTS, main, resolve_settings
 
@@ -74,8 +74,7 @@ def argv_for(command, key, value, tmp: Path, model: Path):
     return ["ablate", "--outdir", str(out)] + grid + TINY_FLAGS
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(command=st.sampled_from(COMMANDS), key=st.sampled_from(sorted(ALL_DEFAULTS)),
        data=st.data())
 def test_any_one_setting_keeps_the_exit_code_contract(tiny_model, command, key,
