@@ -332,9 +332,14 @@ def cmd_ablate(args) -> int:
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not values:
         raise ConfigurationError("value list is empty")
-    seeds = [s for s in args.seeds.split(",") if s.strip()]
+    seeds = [s.strip() for s in args.seeds.split(",") if s.strip()]
     if not seeds:
         raise ConfigurationError("key 'seeds': the seed list is empty")
+    for s in seeds:  # named after the flag the user wrote, not the setting
+        try:
+            int(s)
+        except ValueError:
+            raise ConfigurationError(f"key 'seeds': {s!r} is not an integer") from None
     grid = []  # every grid point is resolved and checked before any run
     for raw in values:
         runs = [resolve_settings(args.config, {**flags, args.axis: raw, "seed": s})

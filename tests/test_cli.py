@@ -458,7 +458,7 @@ def test_ablate_unknown_axis(tmp_path):
 
 
 @pytest.mark.parametrize("axis,values,seeds,key", [
-    ("tau", "0.07", "0,x", "'seed'"),  # each seed is a grid point's 'seed'
+    ("tau", "0.07", "0,x", "seeds"),
     ("tau", "0.07", ",", "seeds"),
     ("bank_capacity", "32,64,x", "0", "bank_capacity"),
     ("tau", "0.07,0.5,-1", "0", "tau"),
