@@ -63,13 +63,14 @@ class MemoryBank:
         """(score, work, mask): contiguous n x len(self) matrices, the first
         two of floats, the last of bools.
 
-        The storage only grows, so once the bank is full every call reuses
-        it.
+        The storage is sized for n rows against a full bank the first time
+        it must grow, so filling the bank reuses it and only a larger n
+        replaces it.
         """
         size = n * self._size
         if self._flat is None or self._flat.shape[1] < size:
-            self._flat = np.empty((2, size))
-            self._mask = np.empty(size, dtype=bool)
+            self._flat = np.empty((2, n * self.capacity))
+            self._mask = np.empty(n * self.capacity, dtype=bool)
         flat, shape = self._flat[:, :size], (n, self._size)
         mask = self._mask[:size].reshape(shape)
         return flat[0].reshape(shape), flat[1].reshape(shape), mask
@@ -123,7 +124,7 @@ def momentum_update(slow: MLP, fast: MLP, mu: float) -> None:
     theta_slow <- (1-mu)*theta_fast + mu*theta_slow."""
     if not 0.0 <= mu <= 1.0:
         raise ConfigurationError(f"momentum coefficient {mu} outside [0, 1]")
-    if [p.shape for p in slow.parameters()] != [p.shape for p in fast.parameters()]:
+    if slow.sizes != fast.sizes:
         raise ConfigurationError("encoder copies have different layouts")
     ps, pf = slow.flat_params, fast.flat_params
     if mu == 0.0:

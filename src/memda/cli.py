@@ -46,6 +46,7 @@ from .datasets import (
     check_mixture,
     gen_gaussian_mixture,
     load_feature_table,
+    read_text,
     save_feature_table,
 )
 from .errors import ConfigurationError, DataFormatError, MemdaError
@@ -101,18 +102,17 @@ def _convert(key: str, raw):
 
 def parse_config_file(path) -> dict:
     settings = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in ALL_DEFAULTS:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            settings[key] = _convert(key, value.strip())
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in ALL_DEFAULTS:
+            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        settings[key] = _convert(key, value.strip())
     return settings
 
 
@@ -133,11 +133,10 @@ def resolve_settings(config_path=None, flags=None, base=None) -> dict:
 def manifest_settings(path) -> dict:
     """The ``settings`` object of the manifest at ``path``; a file that is
     not a JSON object with a ``settings`` object raises ``DataFormatError``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not JSON ({exc})") from exc
+    try:
+        manifest = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: not JSON ({exc})") from exc
     settings = manifest.get("settings") if isinstance(manifest, dict) else None
     if not isinstance(settings, dict):
         raise DataFormatError(f"{path}: no 'settings' object; not a manifest")
@@ -329,6 +328,12 @@ def cmd_ablate(args) -> int:
         raise ConfigurationError(
             f"unknown sweep axis {args.axis!r}; choose from {', '.join(ABLATE_AXES)}")
     flags = _collect_overrides(args)
+    config = parse_config_file(args.config) if args.config else {}
+    for key, owner in (("seed", "--seeds"), (args.axis, "--values")):
+        if key in flags or key in config:
+            raise ConfigurationError(
+                f"key {key!r}: ablate sets it from {owner}; remove it from "
+                f"the flags and the config file")
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not values:
         raise ConfigurationError("value list is empty")
@@ -452,7 +457,7 @@ def main(argv=None) -> int:
     except MemdaError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (OSError, UnicodeDecodeError) as exc:  # unreadable or unwritable
+    except OSError as exc:  # unreadable or unwritable
         print(f"error: {exc}", file=sys.stderr)
         return ConfigurationError.exit_code
 

@@ -205,6 +205,16 @@ def apply_domain_shift(dataset: DomainDataset, spec: ShiftSpec) -> DomainDataset
 # "label,f1,...,fdim" with label -1 for unlabeled rows.
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``; a file that is not UTF-8
+    raises ``DataFormatError`` naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def save_feature_table(path, dataset: DomainDataset) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# domain: {dataset.domain}\n")
@@ -218,43 +228,42 @@ def load_feature_table(path, domain: str = SOURCE) -> DomainDataset:
         raise ConfigurationError(f"unknown domain tag {domain!r}")
     dim = num_classes = None
     feats, labels = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if dim is None:
-                if len(parts) != 2:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: header must be 'dim,num_classes'"
-                    )
-                try:
-                    dim, num_classes = int(parts[0]), int(parts[1])
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}:{lineno}: bad header: {exc}") from exc
-                if dim < 1 or num_classes < 1:
-                    raise DataFormatError(f"{path}:{lineno}: non-positive header")
-                continue
-            if len(parts) != dim + 1:
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if dim is None:
+            if len(parts) != 2:
                 raise DataFormatError(
-                    f"{path}:{lineno}: expected {dim + 1} fields, got {len(parts)}"
+                    f"{path}:{lineno}: header must be 'dim,num_classes'"
                 )
             try:
-                label = int(parts[0])
-                row = [float(v) for v in parts[1:]]
+                dim, num_classes = int(parts[0]), int(parts[1])
             except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not np.all(np.isfinite(row)):
-                raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
-            if label >= num_classes or label < -1:
-                raise DataFormatError(f"{path}:{lineno}: label {label} out of range")
-            if label == -1 and domain == SOURCE:
-                raise DataFormatError(
-                    f"{path}:{lineno}: unlabeled row in a source table"
-                )
-            labels.append(label)
-            feats.append(row)
+                raise DataFormatError(f"{path}:{lineno}: bad header: {exc}") from exc
+            if dim < 1 or num_classes < 1:
+                raise DataFormatError(f"{path}:{lineno}: non-positive header")
+            continue
+        if len(parts) != dim + 1:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {dim + 1} fields, got {len(parts)}"
+            )
+        try:
+            label = int(parts[0])
+            row = [float(v) for v in parts[1:]]
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        if not np.all(np.isfinite(row)):
+            raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
+        if label >= num_classes or label < -1:
+            raise DataFormatError(f"{path}:{lineno}: label {label} out of range")
+        if label == -1 and domain == SOURCE:
+            raise DataFormatError(
+                f"{path}:{lineno}: unlabeled row in a source table"
+            )
+        labels.append(label)
+        feats.append(row)
     if dim is None:
         raise DataFormatError(f"{path}: no header line")
     if not feats:

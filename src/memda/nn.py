@@ -1,20 +1,23 @@
 """Minimal dense networks with hand-derived gradients.
 
-Everything is float64 and deterministic: a forward pass returns the output
-together with an explicit tape (the cached activations), and the matching
-backward pass consumes that tape, overwrites the parameter gradients in
-place and returns the gradient w.r.t. the input. Batches are row-major 2-D
-arrays, one sample per row.
+Every network is one ``MLP(sizes, relu, rng)``, built from its layer
+widths: the encoder is tanh, the classifier one affine layer and the
+discriminator ReLU (``build_model``). Everything is float64 and
+deterministic. A forward pass returns the output together with a tape: the
+input, then each layer's output after its activation. The matching backward
+pass consumes that tape, overwrites the parameter gradients in place and
+returns the gradient w.r.t. the input. Batches are row-major 2-D arrays,
+one sample per row.
 
 Each network keeps its parameters in one flat vector and its gradients in
-another: every layer's weights and biases are views into them, so zeroing,
-SGD and the slow-encoder update are a few whole-vector operations, and a
-saved model holds one flat parameter vector per network.
+another, allocated once: every layer's weights and biases are views into
+them from construction on, so zeroing, SGD and the slow-encoder update are
+a few whole-vector operations, and a saved model holds one flat parameter
+vector per network.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,80 +37,45 @@ def as_batch(x) -> np.ndarray:
     return a
 
 
-class Dense:
-    """Affine layer y = x @ W.T + b; ``backward`` overwrites its gradients."""
-
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
-        self.w = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_out, n_in))
-        self.b = np.zeros(n_out)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
-
-    @property
-    def n_in(self) -> int:
-        return self.w.shape[1]
-
-    @property
-    def n_out(self) -> int:
-        return self.w.shape[0]
-
-    def forward(self, x):
-        return x @ self.w.T + self.b, x
-
-    def backward(self, cache, dy, out=None):
-        x = cache
-        np.matmul(dy.T, x, out=self.gw)
-        np.sum(dy, axis=0, out=self.gb)
-        return np.matmul(dy, self.w, out=out)  # x is read by now: out may be x
-
-
-class Tanh:
-    def forward(self, x):
-        y = np.tanh(x)
-        return y, y
-
-    def backward(self, cache, dy, out=None):
-        y = cache
-        return np.multiply(dy, 1.0 - y * y, out=out)
-
-
-class Relu:
-    def forward(self, x):
-        return np.maximum(x, 0.0), x
-
-    def backward(self, cache, dy, out=None):
-        x = cache
-        return np.multiply(dy, x > 0.0, out=out)  # subgradient at 0 taken as 0
-
-
 class MLP:
-    """A fixed stack of layers with an explicit activation tape.
+    """A dense stack of ``len(sizes) - 1`` affine layers y = x @ W.T + b, with
+    tanh (or ReLU if ``relu``) after every layer but the last.
 
-    ``forward`` may be called any number of times before ``backward``; each
-    call returns its own tape. On construction the layers' parameters are
-    copied into ``flat_params`` and every ``w``/``b``/``gw``/``gb`` becomes a
-    view into ``flat_params``/``flat_grads``, in ``parameters()`` order.
+    ``flat_params`` and ``flat_grads`` are allocated once: each entry of
+    ``layers`` is a (w, b, gw, gb) tuple of views into them, laid out layer
+    by layer, weights before bias. Weights are drawn from ``rng`` as
+    N(0, 1/n_in), layer by layer, and biases start at zero; with no ``rng``
+    every parameter starts at zero.
     """
 
-    def __init__(self, layers):
-        self.layers = list(layers)
-        self.flat_params = np.concatenate([p.ravel() for p in self.parameters()])
+    def __init__(self, sizes, relu: bool, rng: np.random.Generator | None = None):
+        self.sizes = tuple(int(n) for n in sizes)
+        self.relu = relu
+        widths = list(zip(self.sizes, self.sizes[1:]))
+        self.flat_params = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in widths))
         self.flat_grads = np.zeros_like(self.flat_params)
-        offset = 0
-        for layer in (x for x in self.layers if isinstance(x, Dense)):
-            for name in ("w", "b"):
-                p = getattr(layer, name)
-                span = slice(offset, offset + p.size)
-                setattr(layer, name, self.flat_params[span].reshape(p.shape))
-                setattr(layer, "g" + name, self.flat_grads[span].reshape(p.shape))
-                offset += p.size
+        self.layers, offset = [], 0
+        for n_in, n_out in widths:
+            cut, end = offset + n_out * n_in, offset + (n_in + 1) * n_out
+            w, gw = (v[offset:cut].reshape(n_out, n_in)
+                     for v in (self.flat_params, self.flat_grads))
+            if rng is not None:
+                w[...] = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=w.shape)
+            self.layers.append((w, self.flat_params[cut:end], gw,
+                                self.flat_grads[cut:end]))
+            offset = end
 
     def forward(self, x):
+        """(output, tape): the tape holds the input, then every layer's
+        output after its activation. ``forward`` may be called any number
+        of times before ``backward``; each call returns its own tape."""
         x = as_batch(x)
-        tape = []
-        for layer in self.layers:
-            x, cache = layer.forward(x)
-            tape.append(cache)
+        tape = [x]
+        for i, (w, b, _, _) in enumerate(self.layers):
+            x = x @ w.T + b
+            if i < len(self.layers) - 1:
+                x = np.maximum(x, 0.0) if self.relu else np.tanh(x)
+            tape.append(x)
         return x, tape
 
     def backward(self, tape, dy, out=None):
@@ -115,41 +83,34 @@ class MLP:
         input itself, which the first layer has read by the time it writes.
         Every parameter gradient is overwritten with this call's."""
         for i in range(len(self.layers) - 1, -1, -1):
-            dy = self.layers[i].backward(tape[i], dy, out if i == 0 else None)
+            w, _, gw, gb = self.layers[i]
+            x = tape[i]  # this layer's input: the previous layer's output
+            np.matmul(dy.T, x, out=gw)
+            np.sum(dy, axis=0, out=gb)
+            dy = np.matmul(dy, w, out=out if i == 0 else None)
+            if i > 0:  # ReLU's output is > 0 exactly where its input is
+                dy = dy * (x > 0.0) if self.relu else dy * (1.0 - x * x)
         return dy
 
     @property
     def n_in(self) -> int:
-        return self.layers[0].n_in
+        return self.sizes[0]
 
     @property
     def n_out(self) -> int:
-        for layer in reversed(self.layers):
-            if isinstance(layer, Dense):
-                return layer.n_out
-        raise ConfigurationError("network has no dense layer")
+        return self.sizes[-1]
 
     def parameters(self):
-        """Every dense layer's weights, then its bias, in layer order."""
-        return [p for layer in self.layers if isinstance(layer, Dense)
-                for p in (layer.w, layer.b)]
+        """Every layer's weights, then its bias, in layer order."""
+        return [p for w, b, _, _ in self.layers for p in (w, b)]
 
     def zero_grads(self):
         self.flat_grads.fill(0.0)
 
     def clone(self) -> "MLP":
-        return MLP(copy.deepcopy(self.layers))  # re-packed into its own vectors
-
-
-def mlp(sizes, activation, rng) -> MLP:
-    """Build a dense stack from layer widths, e.g. mlp([16, 64, 64, 32], Tanh,
-    rng), with ``activation`` after every layer but the last."""
-    layers = []
-    for i, (a, b) in enumerate(zip(sizes[:-1], sizes[1:])):
-        layers.append(Dense(a, b, rng))
-        if i < len(sizes) - 2:
-            layers.append(activation())
-    return MLP(layers)
+        twin = MLP(self.sizes, self.relu)
+        twin.flat_params[...] = self.flat_params
+        return twin
 
 
 @dataclass
@@ -199,11 +160,11 @@ def build_model(
     if min(input_dim, num_classes) < 1:
         raise ConfigurationError("model dimensions must be positive")
     rng = np.random.default_rng(seed)
-    enc_sizes = [input_dim] + [encoder_hidden] * encoder_layers + [embed_dim]
-    encoder = mlp(enc_sizes, Tanh, rng)  # hidden tanh, linear projection
-    classifier = MLP([Dense(embed_dim, num_classes, rng)])
+    encoder = MLP([input_dim] + [encoder_hidden] * encoder_layers + [embed_dim],
+                  relu=False, rng=rng)  # hidden tanh, linear projection
+    classifier = MLP([embed_dim, num_classes], relu=False, rng=rng)
     disc_in = embed_dim * num_classes if multilinear else embed_dim
-    discriminator = mlp([disc_in, disc_hidden, disc_hidden, 1], Relu, rng)
+    discriminator = MLP([disc_in, disc_hidden, disc_hidden, 1], relu=True, rng=rng)
     return ModelBundle(encoder, classifier, discriminator, multilinear=multilinear)
 
 

@@ -205,3 +205,15 @@ def test_zero_norm_enqueued_row_raises_with_its_index():
         bank.enqueue(batch, [0, 1, 2, 3])
     assert len(bank) == 2  # the rejected batch left the ring untouched
     assert list(bank.labels()) == [0, 1]
+
+
+def test_buffers_are_sized_for_a_full_bank_when_first_grown():
+    bank = MemoryBank(4096, 4, EUC)
+    rng = np.random.default_rng(0)
+    first = None
+    for _ in range(4096 // 32 + 2):  # fill, then two steps of turnover
+        bank.enqueue(rng.normal(size=(32, 4)), np.zeros(32, dtype=int))
+        got = bank.buffers(32)
+        assert [a.shape for a in got] == [(32, len(bank))] * 3
+        first = first or got
+        assert all(np.shares_memory(a, b) for a, b in zip(got, first))

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +48,9 @@ TINY = {
 }
 
 
-def tiny_flags(**extra):
-    merged = {**TINY, **{k: str(v) for k, v in extra.items()}}
+def tiny_flags(*omit, **extra):
+    merged = {**{k: v for k, v in TINY.items() if k not in omit},
+              **{k: str(v) for k, v in extra.items()}}
     out = []
     for key, value in merged.items():
         out += ["--" + key.replace("_", "-"), value]
@@ -252,7 +254,10 @@ UNREADABLE = {  # case -> command line, run beside the inputs of the test
     "manifest-is-a-list": ["train", "--outdir", "D", "--from-manifest", "list.json"],
     "manifest-settings-not-object": ["train", "--outdir", "D",
                                      "--from-manifest", "list-settings.json"],
+    "manifest-not-utf8": ["train", "--outdir", "D", "--from-manifest", "latin1.json"],
 }
+NAMED = {"config-not-utf8": "latin1.cfg", "tables-not-utf8": "latin1.csv",
+         "manifest-not-utf8": "latin1.json"}  # case -> file the error names
 
 
 @pytest.mark.parametrize("case", UNREADABLE)
@@ -266,10 +271,13 @@ def test_unreadable_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
     Path("no-settings.json").write_text('{"tool": "memda"}\n')
     Path("list.json").write_text("[1, 2]\n")
     Path("list-settings.json").write_text('{"settings": [1, 2]}\n')
+    Path("latin1.json").write_bytes('{"settings": {"similarity": "\u00e9"}}\n'
+                                    .encode("latin-1"))
     argv = UNREADABLE[case]
     assert main(argv + ([] if argv[0] == "eval" else tiny_flags())) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert NAMED.get(case, "") in err
     assert not Path("D").exists() and not Path("file").is_dir()
 
 
@@ -443,7 +451,7 @@ def test_ablate_row_count_and_medians(tmp_path):
     outdir = tmp_path / "sweep"
     rc = main(["ablate", "--outdir", str(outdir),
                "--axis", "bank_capacity", "--values", "32,64",
-               "--seeds", "0,1,2"] + tiny_flags(total_iters=20))
+               "--seeds", "0,1,2"] + tiny_flags("bank_capacity", total_iters=20))
     assert rc == 0
     lines = (outdir / "results.csv").read_text().splitlines()
     assert lines[0] == "axis,value,seed,target_accuracy"
@@ -472,11 +480,34 @@ def test_ablate_rejects_a_bad_grid_before_any_run(tmp_path, capsys, monkeypatch,
         raise AssertionError("a run started before the grid was checked")
 
     monkeypatch.setattr(memda.cli, "run_training", refuse)
-    base = tiny_flags(**({key: "nan"} if key == "shift_noise" else {}))
+    base = tiny_flags(axis, **({key: "nan"} if key == "shift_noise" else {}))
     rc = main(["ablate", "--outdir", str(tmp_path / "s"), "--axis", axis,
                "--values", values, "--seeds", seeds] + base)
     assert rc == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("given,key,owner", [
+    pytest.param(["--seed", "7"], "seed", "--seeds", id="seed-flag"),
+    pytest.param(["--tau", "0.9"], "tau", "--values", id="axis-flag"),
+    pytest.param("seed = 7", "seed", "--seeds", id="seed-config"),
+    pytest.param("tau = 0.9", "tau", "--values", id="axis-config"),
+])
+def test_ablate_refuses_a_setting_its_grid_owns(tmp_path, capsys, monkeypatch,
+                                                given, key, owner):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started with a setting the grid owns")
+
+    monkeypatch.setattr(memda.cli, "run_training", refuse)
+    if isinstance(given, str):  # a line of the config file
+        (tmp_path / "c.cfg").write_text(given + "\n")
+        given = ["--config", str(tmp_path / "c.cfg")]
+    rc = main(["ablate", "--outdir", str(tmp_path / "s"), "--axis", "tau",
+               "--values", "0.1", "--seeds", "0,1"] + tiny_flags() + given)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{key!r}" in err and owner in err
     assert not (tmp_path / "s").exists()
 
 
@@ -595,6 +626,22 @@ def test_eval_builds_only_the_networks(monkeypatch, saved_model):
     monkeypatch.setattr(memda.trainer, "MemoryBank", refuse)
     monkeypatch.setattr(memda.trainer, "SGD", refuse)
     assert main(["eval", "--model", str(saved_model)]) == 0
+
+
+def test_load_model_peak_memory_stays_under_4_mib(tmp_path):
+    # default sizes: the three flat vectors hold 0.88 MiB
+    settings = resolve_settings()
+    model = memda.trainer.init_model(train_config_from(settings),
+                                     settings["input_dim"], settings["classes"])
+    memda.cli.save_model(tmp_path / "model.npz", model, settings)
+    load_model(tmp_path / "model.npz")  # first-use imports stay out of the peak
+    tracemalloc.start()
+    try:
+        load_model(tmp_path / "model.npz")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("flag,value", [("--rotation-deg", "nan"),

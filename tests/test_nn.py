@@ -5,7 +5,6 @@ from conftest import finite_difference_check
 from memda.errors import ConfigurationError, NumericalError
 from memda.nn import (
     PROB_EPS,
-    Dense,
     MLP,
     build_model,
     classifier_forward,
@@ -26,43 +25,54 @@ def test_zero_network_gives_zero_features():
 
 
 def test_identity_layer_forward():
-    rng = np.random.default_rng(0)
-    layer = Dense(2, 2, rng)
-    layer.w[...] = np.eye(2)
-    layer.b[...] = 0.0
-    net = MLP([layer])
-    f, _ = net.forward(np.array([[1.0, 2.0]]))
+    net = MLP([2, 2], relu=False)
+    net.layers[0][0][...] = np.eye(2)  # the weights; the bias stays zero
+    f, tape = net.forward(np.array([[1.0, 2.0]]))
     assert np.array_equal(f, [[1.0, 2.0]])
+    assert len(tape) == 2 and tape[-1] is f  # the input, then the output
+
+
+def test_weights_are_sequential_scaled_normal_draws_and_biases_zero():
+    sizes = dict(input_dim=5, embed_dim=4, num_classes=3, encoder_hidden=6,
+                 encoder_layers=2, disc_hidden=7)
+    model = build_model(**sizes, seed=12)
+    rng = np.random.default_rng(12)  # encoder, classifier, discriminator
+    for net in (model.encoder, model.classifier, model.discriminator):
+        for w, b in zip(net.parameters()[::2], net.parameters()[1::2]):
+            n_out, n_in = w.shape
+            assert w.tobytes() == rng.normal(0.0, 1.0 / np.sqrt(n_in),
+                                             size=(n_out, n_in)).tobytes()
+            assert np.all(b == 0.0)
 
 
 def test_layer_parameters_are_views_into_the_flat_vectors():
-    rng = np.random.default_rng(0)
-    layers = [Dense(3, 4, rng), Dense(4, 2, rng)]
-    before = np.concatenate([p.ravel() for layer in layers for p in (layer.w, layer.b)])
-    net = MLP(layers)
-    assert np.array_equal(net.flat_params, before)  # packing copies the values
-    model = build_model(input_dim=5, embed_dim=4, num_classes=3, seed=0)
+    model = build_model(input_dim=5, embed_dim=4, num_classes=3, encoder_hidden=6,
+                        disc_hidden=7, seed=0)
+    assert [net.sizes for net in (model.encoder, model.classifier,
+                                  model.discriminator)] == [
+        (5, 6, 6, 4), (4, 3), (12, 7, 7, 1)]
     for net in (model.encoder, model.classifier, model.discriminator):
-        dense = [layer for layer in net.layers if isinstance(layer, Dense)]
         assert sum(p.size for p in net.parameters()) == net.flat_params.size
-        for layer in dense:
-            assert np.shares_memory(layer.w, net.flat_params)
-            assert np.shares_memory(layer.b, net.flat_params)
-            assert np.shares_memory(layer.gw, net.flat_grads)
-            assert np.shares_memory(layer.gb, net.flat_grads)
+        for w, b, gw, gb in net.layers:
+            assert np.shares_memory(w, net.flat_params)
+            assert np.shares_memory(b, net.flat_params)
+            assert np.shares_memory(gw, net.flat_grads)
+            assert np.shares_memory(gb, net.flat_grads)
+        flat = np.concatenate([p.ravel() for p in net.parameters()])
+        assert flat.tobytes() == net.flat_params.tobytes()  # in layer order
         net.flat_grads[...] = 1.0
         net.zero_grads()
-        assert all(np.all(layer.gw == 0.0) and np.all(layer.gb == 0.0)
-                   for layer in dense)
+        assert all(np.all(gw == 0.0) and np.all(gb == 0.0)
+                   for _, _, gw, gb in net.layers)
 
 
 def test_clone_shares_no_memory_with_the_original():
     encoder = build_model(input_dim=5, embed_dim=4, seed=0).encoder
     copy = encoder.clone()
-    assert np.array_equal(copy.flat_params, encoder.flat_params)
-    mine = [copy.flat_params, copy.flat_grads, *copy.parameters(),
-            *(g for layer in copy.layers if isinstance(layer, Dense)
-              for g in (layer.gw, layer.gb))]
+    assert copy.sizes == encoder.sizes and copy.relu == encoder.relu
+    assert copy.flat_params.tobytes() == encoder.flat_params.tobytes()
+    mine = [copy.flat_params, copy.flat_grads,
+            *(a for layer in copy.layers for a in layer)]
     for a in mine:
         assert not np.shares_memory(a, encoder.flat_params)
         assert not np.shares_memory(a, encoder.flat_grads)

@@ -10,7 +10,7 @@ import memda.trainer
 from memda import similarity
 from memda.datasets import ShiftSpec, apply_domain_shift, gen_gaussian_mixture
 from memda.errors import ConfigurationError, NumericalError
-from memda.nn import Dense, build_model, classifier_forward, encoder_forward
+from memda.nn import build_model, classifier_forward, encoder_forward
 from memda.trainer import (
     PREDICT_CHUNK,
     SGD,
@@ -124,16 +124,18 @@ def test_flat_sgd_step_equals_the_per_tensor_step():
     flat_net, tensor_net = (build_model(input_dim=5, embed_dim=4, seed=3).encoder
                             for _ in range(2))
     flat = SGD([flat_net.flat_params], momentum=0.9, weight_decay=5e-4)
-    per_tensor = SGD(tensor_net.parameters(), momentum=0.9, weight_decay=5e-4)
+    params = tensor_net.parameters()
+    per_tensor = SGD(params, momentum=0.9, weight_decay=5e-4)
+    cuts = np.cumsum([p.size for p in params])[:-1]
+    tensor_grads = [g.reshape(p.shape) for g, p in
+                    zip(np.split(tensor_net.flat_grads, cuts), params)]
     rng = np.random.default_rng(0)
     for lr in (0.03, 0.02, 0.01):
         grads = rng.normal(size=flat_net.flat_grads.size)
         flat_net.flat_grads[...] = grads
         tensor_net.flat_grads[...] = grads
         flat.step([flat_net.flat_grads], lr)
-        per_tensor.step([g for layer in tensor_net.layers
-                         if isinstance(layer, Dense) for g in (layer.gw, layer.gb)],
-                        lr)
+        per_tensor.step(tensor_grads, lr)
     assert flat_net.flat_params.tobytes() == tensor_net.flat_params.tobytes()
 
 
