@@ -4,9 +4,11 @@ Every subcommand resolves its settings in ``resolve_settings``, in layers:
 the defaults; then a base (a manifest's ``settings`` for ``train
 --from-manifest``, the saved run's for ``eval``); then a flat ``key = value``
 config file ('#' comments); then one flag per key (--batch-size sets
-batch_size). Settings (``check_settings``) and data are checked before
-anything is written; a run then writes its manifest before training starts,
-then a per-iteration metrics CSV, a summary report and the trained model.
+batch_size). The result is one ``TrainConfig``, checked by its
+``validate``, and it is all a subcommand reads. Settings and data are
+checked before anything is written; a run then writes its manifest before
+training starts, then a per-iteration metrics CSV, a summary report and the
+trained model.
 ``metrics.csv`` has one column per ``trainer.IterationRecord`` field, in
 field order (``iteration`` is headed ``iter``): floats as ``repr``, ints
 as ``str``.
@@ -43,35 +45,18 @@ from .datasets import (
     TARGET,
     ShiftSpec,
     apply_domain_shift,
-    check_mixture,
     gen_gaussian_mixture,
     load_feature_table,
     read_text,
     save_feature_table,
 )
 from .errors import ConfigurationError, DataFormatError, MemdaError
-from .trainer import RunResult, TrainConfig, evaluate, init_model, run_training
+from .nn import build_model
+from .trainer import RunResult, TrainConfig, evaluate, run_training
 
 RECORD_FIELDS = [f.name for f in dataclasses.fields(trainer.IterationRecord)]
 CSV_COLUMNS = ["iter", *RECORD_FIELDS[1:]]
-
-# data-generation keys live beside the trainer keys in the same flat config
-DATA_DEFAULTS = {
-    "classes": 50,
-    "input_dim": 16,
-    "per_class": 200,
-    "class_spread": 4.0,
-    "within_std": 1.0,
-    "rotation_deg": 30.0,
-    "shift_noise": 0.1,
-    "data_seed": -1,       # -1 derives the data seed from the run seed
-    "source_table": "",
-    "target_table": "",
-}
-
-MIXTURE_KEYS = ("classes", "input_dim", "per_class", "class_spread", "within_std")
-TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
-ALL_DEFAULTS = {**TRAIN_DEFAULTS, **DATA_DEFAULTS}
+ALL_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
 
 NETWORKS = ("encoder", "classifier", "discriminator")  # model.npz vectors
 ABLATE_AXES = ("bank_capacity", "tau", "k", "classes", "lambda_sc",
@@ -116,18 +101,20 @@ def parse_config_file(path) -> dict:
     return settings
 
 
-def resolve_settings(config_path=None, flags=None, base=None) -> dict:
-    """The defaults, then ``base`` (saved settings), then the config file,
-    then ``flags``. Every key must be a setting, and every value is
-    converted to its default's type."""
-    settings = dict(ALL_DEFAULTS)
-    config = parse_config_file(config_path) if config_path else {}
-    for layer in (base or {}, config, flags or {}):
+def resolve_settings(config_path=None, flags=None, base=None) -> TrainConfig:
+    """The validated settings: the defaults, then ``base`` (saved
+    settings), then the config file, then ``flags``. Every key must be a
+    setting, and every value is converted to its default's type."""
+    settings = {}
+    in_file = parse_config_file(config_path) if config_path else {}
+    for layer in (base or {}, in_file, flags or {}):
         for key, raw in layer.items():
             if key not in ALL_DEFAULTS:
                 raise ConfigurationError(f"unknown key {key!r}")
             settings[key] = _convert(key, raw)
-    return settings
+    config = TrainConfig(**settings)
+    config.validate()
+    return config
 
 
 def manifest_settings(path) -> dict:
@@ -143,47 +130,25 @@ def manifest_settings(path) -> dict:
     return settings
 
 
-def train_config_from(settings: dict) -> TrainConfig:
-    return TrainConfig(**{k: settings[k] for k in TRAIN_DEFAULTS})
-
-
-def check_settings(settings: dict) -> TrainConfig:
-    """The run's validated ``TrainConfig``; every float data setting must be
-    finite, and for generated data the mixture and shift settings are
-    checked too. Raises ``ConfigurationError``."""
-    config = train_config_from(settings)
-    config.validate()
-    for key, default in DATA_DEFAULTS.items():
-        if isinstance(default, float) and not math.isfinite(settings[key]):
-            raise ConfigurationError(f"key {key!r}: {settings[key]} is not finite")
-    if not (settings["source_table"] or settings["target_table"]):
-        check_mixture(*(settings[k] for k in MIXTURE_KEYS))
-        ShiftSpec.from_degrees(settings["rotation_deg"],
-                               noise=settings["shift_noise"])
-    return config
-
-
-def resolve_datasets(settings: dict):
-    """Load feature tables when given, otherwise generate the benchmark."""
-    if settings["source_table"] or settings["target_table"]:
-        if not (settings["source_table"] and settings["target_table"]):
+def resolve_datasets(config: TrainConfig):
+    """Load feature tables when given, otherwise generate the benchmark.
+    Tables of different widths or class counts raise ``ConfigurationError``."""
+    if config.source_table or config.target_table:
+        if not (config.source_table and config.target_table):
             raise ConfigurationError("need both source_table and target_table")
-        source = load_feature_table(settings["source_table"], SOURCE)
-        target = load_feature_table(settings["target_table"], TARGET)
+        source = load_feature_table(config.source_table, SOURCE)
+        target = load_feature_table(config.target_table, TARGET)
+        trainer.check_domain_pair(source, target)
         return source, target
-    return _generate_datasets(settings)
+    return _generate_datasets(config)
 
 
-def _generate_datasets(settings: dict):
+def _generate_datasets(config: TrainConfig):
     """The synthetic (source, target) pair the data settings describe."""
-    dseed = settings["data_seed"]
-    if dseed < 0:
-        dseed = settings["seed"]
-    mixture = [settings[k] for k in MIXTURE_KEYS]
-    source = gen_gaussian_mixture(*mixture, seed=dseed)
-    base = gen_gaussian_mixture(*mixture, seed=dseed + 1)
-    shift = ShiftSpec.from_degrees(settings["rotation_deg"],
-                                   noise=settings["shift_noise"],
+    dseed = config.data_seed if config.data_seed >= 0 else config.seed
+    source = gen_gaussian_mixture(*config.mixture, seed=dseed)
+    base = gen_gaussian_mixture(*config.mixture, seed=dseed + 1)
+    shift = ShiftSpec.from_degrees(config.rotation_deg, noise=config.shift_noise,
                                    seed=dseed + 2)
     return source, apply_domain_shift(base, shift)
 
@@ -201,10 +166,11 @@ def write_metrics_csv(path, history) -> None:
                               for v in values) + "\n")
 
 
-def save_model(path, model, settings: dict) -> None:
+def save_model(path, model, config: TrainConfig) -> None:
     """The ``model.npz`` layout of the module docstring."""
     np.savez(path, **{name: getattr(model, name).flat_params for name in NETWORKS},
-             settings_json=np.array(json.dumps(settings, sort_keys=True)),
+             settings_json=np.array(json.dumps(dataclasses.asdict(config),
+                                               sort_keys=True)),
              input_dim=np.array(model.encoder.n_in),
              num_classes=np.array(model.num_classes))
 
@@ -220,7 +186,7 @@ def _read_array(path, data, key, parse=np.asarray):
 
 
 def load_model(path):
-    """(model, settings): the saved networks and the resolved settings of
+    """(model, config): the saved networks and the validated settings of
     the run that saved them, read from ``path`` in one pass. A file that is
     not an npz archive, a missing or malformed array or a vector of the
     wrong size raises ``DataFormatError``."""
@@ -236,11 +202,9 @@ def load_model(path):
         vectors = [_read_array(path, data, name) for name in NETWORKS]
         input_dim, num_classes = (_read_array(path, data, key, int)
                                   for key in ("input_dim", "num_classes"))
-        settings = resolve_settings(base=_read_array(
+        config = resolve_settings(base=_read_array(
             path, data, "settings_json", lambda a: dict(json.loads(a.item()))))
-        config = train_config_from(settings)
-        config.validate()  # a bad saved size fails here, not in the networks
-        model = init_model(config, input_dim, num_classes)
+        model = build_model(config, input_dim, num_classes)
         for name, saved in zip(NETWORKS, vectors):
             net = getattr(model, name)
             if saved.shape != net.flat_params.shape:
@@ -248,15 +212,15 @@ def load_model(path):
                     f"{path}: array {name!r} holds {saved.size} values, the "
                     f"network has {net.flat_params.size}; retrain")
             net.flat_params[...] = saved
-    return model, settings
+    return model, config
 
 
-def write_manifest(outdir: Path, settings: dict) -> None:
+def write_manifest(outdir: Path, config: TrainConfig) -> None:
     manifest = {
         "tool": "memda",
         "version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "settings": settings,
+        "settings": dataclasses.asdict(config),
         "outdir": str(outdir),
     }
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
@@ -287,9 +251,8 @@ def summary_dict(result: RunResult) -> dict:
 
 
 def cmd_gen_data(args) -> int:
-    settings = resolve_settings(args.config, _collect_overrides(args))
-    check_settings(settings)
-    source, target = _generate_datasets(settings)
+    config = resolve_settings(args.config, _collect_overrides(args))
+    source, target = _generate_datasets(config)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     src_path = prefix.parent / (prefix.name + "_source.csv")
@@ -300,24 +263,23 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def run_from_settings(settings: dict, outdir: Path) -> RunResult:
-    config = check_settings(settings)
-    source, target = resolve_datasets(settings)  # bad data writes nothing
+def run_from_settings(config: TrainConfig, outdir: Path) -> RunResult:
+    source, target = resolve_datasets(config)  # bad data writes nothing
     outdir.mkdir(parents=True, exist_ok=True)
-    write_manifest(outdir, settings)
+    write_manifest(outdir, config)
     result = run_training(config, source, target)
     write_metrics_csv(outdir / "metrics.csv", result.history)
     with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary_dict(result), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    save_model(outdir / "model.npz", result.model, settings)
+    save_model(outdir / "model.npz", result.model, config)
     return result
 
 
 def cmd_train(args) -> int:
     base = manifest_settings(args.from_manifest) if args.from_manifest else None
-    settings = resolve_settings(args.config, _collect_overrides(args), base)
-    result = run_from_settings(settings, Path(args.outdir))
+    config = resolve_settings(args.config, _collect_overrides(args), base)
+    result = run_from_settings(config, Path(args.outdir))
     acc = result.evaluation.overall_accuracy
     print(f"done: target accuracy {acc:.4f}, artifacts in {args.outdir}")
     return 0
@@ -328,9 +290,9 @@ def cmd_ablate(args) -> int:
         raise ConfigurationError(
             f"unknown sweep axis {args.axis!r}; choose from {', '.join(ABLATE_AXES)}")
     flags = _collect_overrides(args)
-    config = parse_config_file(args.config) if args.config else {}
+    base = parse_config_file(args.config) if args.config else {}
     for key, owner in (("seed", "--seeds"), (args.axis, "--values")):
-        if key in flags or key in config:
+        if key in flags or key in base:
             raise ConfigurationError(
                 f"key {key!r}: ablate sets it from {owner}; remove it from "
                 f"the flags and the config file")
@@ -345,23 +307,19 @@ def cmd_ablate(args) -> int:
             int(s)
         except ValueError:
             raise ConfigurationError(f"key 'seeds': {s!r} is not an integer") from None
-    grid = []  # every grid point is resolved and checked before any run
-    for raw in values:
-        runs = [resolve_settings(args.config, {**flags, args.axis: raw, "seed": s})
-                for s in seeds]
-        grid.append((raw, [(settings, check_settings(settings))
-                           for settings in runs]))
+    # every grid point is resolved and checked before any run
+    grid = [(raw, [resolve_settings(None, {**flags, args.axis: raw, "seed": s},
+                                    base) for s in seeds]) for raw in values]
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for raw, runs in grid:
         accs = []
-        for settings, config in runs:
-            source, target = resolve_datasets(settings)
-            result = run_training(config, source, target)
+        for config in runs:
+            result = run_training(config, *resolve_datasets(config))
             accs.append(result.evaluation.overall_accuracy)
-            rows.append((raw, str(settings["seed"]), accs[-1]))
+            rows.append((raw, str(config.seed), accs[-1]))
         rows.append((raw, "median", float(np.median(accs))))
 
     table = outdir / "results.csv"
@@ -376,13 +334,12 @@ def cmd_ablate(args) -> int:
 def cmd_eval(args) -> int:
     model, saved = load_model(args.model)
     # the saved run's data, unless the config file or flags override it
-    settings = resolve_settings(args.config, _collect_overrides(args),
-                                base=saved)
-    check_settings(settings)
-    if settings["target_table"]:
-        target = load_feature_table(settings["target_table"], TARGET)
+    config = resolve_settings(args.config, _collect_overrides(args),
+                              base=dataclasses.asdict(saved))
+    if config.target_table:
+        target = load_feature_table(config.target_table, TARGET)
     else:
-        _, target = resolve_datasets(settings)
+        _, target = resolve_datasets(config)
     report = evaluate(model, target)
     if math.isnan(report.overall_accuracy):
         print("target table has no evaluation labels")

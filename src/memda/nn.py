@@ -2,7 +2,8 @@
 
 Every network is one ``MLP(sizes, relu, rng)``, built from its layer
 widths: the encoder is tanh, the classifier one affine layer and the
-discriminator ReLU (``build_model``). Everything is float64 and
+discriminator ReLU. ``build_model`` builds all three from a run's
+``TrainConfig`` and the data's widths. Everything is float64 and
 deterministic. A forward pass returns the output together with a tape: the
 input, then each layer's output after its activation. The matching backward
 pass consumes that tape, overwrites the parameter gradients in place and
@@ -100,10 +101,6 @@ class MLP:
     def n_out(self) -> int:
         return self.sizes[-1]
 
-    def parameters(self):
-        """Every layer's weights, then its bias, in layer order."""
-        return [p for w, b, _, _ in self.layers for p in (w, b)]
-
     def zero_grads(self):
         self.flat_grads.fill(0.0)
 
@@ -144,28 +141,22 @@ class ModelBundle:
         return self._conditioned[:size].reshape(n, -1)
 
 
-def build_model(
-    input_dim: int,
-    embed_dim: int = 32,
-    num_classes: int = 2,
-    encoder_hidden: int = 64,
-    encoder_layers: int = 2,
-    disc_hidden: int = 64,
-    multilinear: bool = True,
-    seed: int = 0,
-) -> ModelBundle:
-    """Deterministically initialize the encoder/classifier/discriminator
-    stack. The sizes are ``TrainConfig.validate``'s to check; the data's
-    widths are checked here."""
+def build_model(config, input_dim: int, num_classes: int) -> ModelBundle:
+    """The untrained encoder/classifier/discriminator stack for data of
+    these widths, with the sizes, ``multilinear`` and ``seed`` of
+    ``config`` (a ``trainer.TrainConfig``). The sizes are
+    ``TrainConfig.validate``'s to check; the data's widths are checked here."""
     if min(input_dim, num_classes) < 1:
         raise ConfigurationError("model dimensions must be positive")
-    rng = np.random.default_rng(seed)
-    encoder = MLP([input_dim] + [encoder_hidden] * encoder_layers + [embed_dim],
-                  relu=False, rng=rng)  # hidden tanh, linear projection
+    rng = np.random.default_rng(config.seed)
+    embed_dim, hidden = config.embed_dim, config.disc_hidden
+    encoder = MLP([input_dim] + [config.encoder_hidden] * config.encoder_layers
+                  + [embed_dim], relu=False, rng=rng)  # hidden tanh, linear projection
     classifier = MLP([embed_dim, num_classes], relu=False, rng=rng)
-    disc_in = embed_dim * num_classes if multilinear else embed_dim
-    discriminator = MLP([disc_in, disc_hidden, disc_hidden, 1], relu=True, rng=rng)
-    return ModelBundle(encoder, classifier, discriminator, multilinear=multilinear)
+    disc_in = embed_dim * num_classes if config.multilinear else embed_dim
+    discriminator = MLP([disc_in, hidden, hidden, 1], relu=True, rng=rng)
+    return ModelBundle(encoder, classifier, discriminator,
+                       multilinear=config.multilinear)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 from . import losses, metrics
 from . import similarity as simmod
 from .bank import MemoryBank, momentum_update
-from .datasets import DomainDataset, batch_sampler
+from .datasets import DomainDataset, ShiftSpec, batch_sampler, check_mixture
 from .errors import ConfigurationError, NumericalError
 from .nn import (
     ModelBundle,
@@ -47,6 +47,8 @@ PREDICT_CHUNK = 512  # rows per network pass in predict()
 
 @dataclass
 class TrainConfig:
+    """Every setting of a run; each field is one key of the settings table."""
+
     batch_size: int = 32
     total_iters: int = 2000
     bootstrap_iters: int = 500
@@ -77,8 +79,21 @@ class TrainConfig:
     encoder_layers: int = 2
     disc_hidden: int = 64
     multilinear: bool = True
+    # the data: the synthetic benchmark, unless both feature tables are given
+    classes: int = 50
+    input_dim: int = 16
+    per_class: int = 200
+    class_spread: float = 4.0
+    within_std: float = 1.0
+    rotation_deg: float = 30.0
+    shift_noise: float = 0.1
+    data_seed: int = -1              # -1 derives the data seed from the run seed
+    source_table: str = ""
+    target_table: str = ""
 
     def validate(self) -> None:
+        """Raise ``ConfigurationError`` for the first setting that breaks a
+        rule; the mixture and shift are checked only for generated data."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(f.default, float) and not np.isfinite(value):
@@ -134,6 +149,15 @@ class TrainConfig:
                 f"batch_size {self.batch_size} is below k={self.k}: batch "
                 f"consistency votes over the current source batch, so the "
                 f"kNN vote needs batch_size >= k")
+        if not (self.source_table or self.target_table):
+            check_mixture(*self.mixture)
+            ShiftSpec.from_degrees(self.rotation_deg, noise=self.shift_noise)
+
+    @property
+    def mixture(self) -> tuple:
+        """``check_mixture``'s and ``gen_gaussian_mixture``'s size arguments."""
+        return (self.classes, self.input_dim, self.per_class, self.class_spread,
+                self.within_std)
 
     @property
     def gate_entries(self) -> int:
@@ -299,26 +323,10 @@ class TrainerState:
     last_good: IterationRecord | None = None
 
 
-def init_model(config: TrainConfig, input_dim: int, num_classes: int) -> ModelBundle:
-    """The untrained networks of ``config`` for data of these widths.
-    ``cli.load_model`` builds a saved model's networks here too, then copies
-    each network's saved flat parameter vector into ``flat_params``."""
-    return build_model(
-        input_dim=input_dim,
-        embed_dim=config.embed_dim,
-        num_classes=num_classes,
-        encoder_hidden=config.encoder_hidden,
-        encoder_layers=config.encoder_layers,
-        disc_hidden=config.disc_hidden,
-        multilinear=config.multilinear,
-        seed=config.seed,
-    )
-
-
 def init_state(config: TrainConfig, input_dim: int, num_classes: int) -> TrainerState:
     """The untrained model, bank and optimizers a run of ``config`` starts
     from."""
-    model = init_model(config, input_dim, num_classes)
+    model = build_model(config, input_dim, num_classes)
     bank = (MemoryBank(config.bank_capacity, config.embed_dim,
                        config.similarity_kind)
             if config.consistency == MEMORY else None)
@@ -413,7 +421,11 @@ def predict(model: ModelBundle, features) -> np.ndarray:
 
 def evaluate(model: ModelBundle, target: DomainDataset) -> metrics.EvalReport:
     """Accuracy of ``model``'s predictions on the labelled rows of
-    ``target``; NaN everywhere when no row carries an evaluation label."""
+    ``target``; NaN everywhere when no row carries an evaluation label. A
+    target of another class count raises ``ConfigurationError``."""
+    if target.num_classes != model.num_classes:
+        raise ConfigurationError(f"the target has {target.num_classes} classes "
+                                 f"but the model has {model.num_classes}")
     truth = target.eval_labels()
     labeled = truth >= 0
     if not labeled.any():
@@ -433,15 +445,21 @@ class RunResult:
     evaluation: metrics.EvalReport
 
 
+def check_domain_pair(source: DomainDataset, target: DomainDataset) -> None:
+    """Raise ``ConfigurationError`` unless the two domains share their
+    feature width and class count."""
+    if source.dim != target.dim:
+        raise ConfigurationError("source/target feature widths differ")
+    if source.num_classes != target.num_classes:
+        raise ConfigurationError("source/target class counts differ")
+
+
 def run_training(config: TrainConfig, source: DomainDataset,
                  target: DomainDataset) -> RunResult:
     """Train on the given domain pair, then evaluate on the full target set;
     the loop's state (bank, optimizer velocities) is gone by then."""
     config.validate()
-    if source.dim != target.dim:
-        raise ConfigurationError("source/target feature widths differ")
-    if source.num_classes != target.num_classes:
-        raise ConfigurationError("source/target class counts differ")
+    check_domain_pair(source, target)
 
     state = init_state(config, source.dim, source.num_classes)
     src_seed, tgt_seed = 2 * config.seed, 2 * config.seed + 1

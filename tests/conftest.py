@@ -162,16 +162,7 @@ def tiny_problem(seed, *, input_dim=6, embed_dim=8, num_classes=5, batch=4,
         seed=seed,
         **cfg_kwargs,
     )
-    model = build_model(
-        input_dim=input_dim,
-        embed_dim=embed_dim,
-        num_classes=num_classes,
-        encoder_hidden=10,
-        encoder_layers=1,
-        disc_hidden=8,
-        multilinear=cfg.multilinear,
-        seed=seed,
-    )
+    model = build_model(cfg, input_dim, num_classes)
     x_s = rng.normal(size=(batch, input_dim))
     y_s = rng.integers(0, num_classes, size=batch)
     x_t = rng.normal(size=(batch if target_batch is None else target_batch,

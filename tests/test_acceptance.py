@@ -198,14 +198,13 @@ def test_criterion_5_fifo_and_momentum():
     bank4.enqueue(np.array([[4.0], [5.0], [6.0]]), [0, 0, 0])
     ok &= list(bank4.rows[:, 0]) == [3.0, 4.0, 5.0, 6.0]
 
-    fast = build_model(input_dim=3, embed_dim=4, num_classes=2, seed=1).encoder
-    slow = build_model(input_dim=3, embed_dim=4, num_classes=2, seed=2).encoder
-    before = [p.copy() for p in slow.parameters()]
+    fast = build_model(TrainConfig(embed_dim=4, seed=1), 3, 2).encoder
+    slow = build_model(TrainConfig(embed_dim=4, seed=2), 3, 2).encoder
+    before = slow.flat_params.copy()
     momentum_update(slow, fast, 1.0)
-    ok &= all(np.array_equal(a, b) for a, b in zip(slow.parameters(), before))
+    ok &= np.array_equal(slow.flat_params, before)
     momentum_update(slow, fast, 0.0)
-    ok &= all(np.array_equal(a, b)
-              for a, b in zip(slow.parameters(), fast.parameters()))
+    ok &= np.array_equal(slow.flat_params, fast.flat_params)
     assert verdict(5, "FIFO and momentum update", ok)
 
 

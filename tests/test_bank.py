@@ -15,6 +15,7 @@ from memda.similarity import (
     pairwise_similarity,
     pairwise_similarity_vjp,
 )
+from memda.trainer import TrainConfig
 
 KINDS = [SimilarityKind(COSINE), SimilarityKind(EUCLIDEAN),
          SimilarityKind(GAUSSIAN, sigma=2.0)]
@@ -92,49 +93,43 @@ def test_fifo_law_against_list_oracle(capacity, batch_sizes):
 
 
 def test_stored_features_are_detached_copies():
-    model = build_model(input_dim=3, embed_dim=4, num_classes=2, seed=1)
+    model = build_model(TrainConfig(embed_dim=4, seed=1), 3, 2)
     x = np.random.default_rng(0).normal(size=(5, 3))
     f, _ = encoder_forward(x, model.encoder)
     bank = MemoryBank(16, 4, EUC)
     bank.enqueue(f, np.zeros(5, dtype=int))
     before = bank.rows.copy()
-    for p in model.encoder.parameters():
-        p += 10.0
+    model.encoder.flat_params += 10.0
     f[...] = -1.0  # mutating the enqueued array must not leak either
     assert np.array_equal(bank.rows, before)
 
 
 def test_momentum_update_mu_zero_is_bitwise_copy():
-    fast = build_model(input_dim=3, embed_dim=4, num_classes=2, seed=1).encoder
-    slow = build_model(input_dim=3, embed_dim=4, num_classes=2, seed=2).encoder
+    fast = build_model(TrainConfig(embed_dim=4, seed=1), 3, 2).encoder
+    slow = build_model(TrainConfig(embed_dim=4, seed=2), 3, 2).encoder
     momentum_update(slow, fast, 0.0)
-    for ps, pf in zip(slow.parameters(), fast.parameters()):
-        assert np.array_equal(ps, pf)
+    assert np.array_equal(slow.flat_params, fast.flat_params)
 
 
 def test_momentum_update_mu_one_is_identity():
-    fast = build_model(input_dim=3, embed_dim=4, num_classes=2, seed=1).encoder
-    slow = build_model(input_dim=3, embed_dim=4, num_classes=2, seed=2).encoder
-    before = [p.copy() for p in slow.parameters()]
+    fast = build_model(TrainConfig(embed_dim=4, seed=1), 3, 2).encoder
+    slow = build_model(TrainConfig(embed_dim=4, seed=2), 3, 2).encoder
+    before = slow.flat_params.copy()
     momentum_update(slow, fast, 1.0)
-    for ps, b in zip(slow.parameters(), before):
-        assert np.array_equal(ps, b)
+    assert np.array_equal(slow.flat_params, before)
 
 
 def test_momentum_update_halfway():
-    fast = build_model(input_dim=2, embed_dim=2, num_classes=2, seed=1).encoder
+    fast = build_model(TrainConfig(embed_dim=2, seed=1), 2, 2).encoder
     slow = fast.clone()
-    for p in fast.parameters():
-        p[...] = 2.0
-    for p in slow.parameters():
-        p[...] = 4.0
+    fast.flat_params[...] = 2.0
+    slow.flat_params[...] = 4.0
     momentum_update(slow, fast, 0.5)
-    for p in slow.parameters():
-        assert np.all(p == 3.0)
+    assert np.all(slow.flat_params == 3.0)
 
 
 def test_momentum_update_moves_only_the_slow_copy():
-    fast = build_model(input_dim=3, embed_dim=4, num_classes=2, seed=1).encoder
+    fast = build_model(TrainConfig(embed_dim=4, seed=1), 3, 2).encoder
     slow = fast.clone()
     slow.flat_params += 1.0
     fast_before, slow_before = fast.flat_params.copy(), slow.flat_params.copy()
@@ -143,13 +138,14 @@ def test_momentum_update_moves_only_the_slow_copy():
     assert np.array_equal(slow.flat_params,
                           0.9 * slow_before + (1.0 - 0.9) * fast_before)
     # the per-tensor views see the update
-    assert np.array_equal(np.concatenate([p.ravel() for p in slow.parameters()]),
+    assert np.array_equal(np.concatenate([p.ravel() for w, b, _, _ in slow.layers
+                                          for p in (w, b)]),
                           slow.flat_params)
 
 
 def test_momentum_update_shape_mismatch():
-    fast = build_model(input_dim=3, embed_dim=4, num_classes=2, seed=1).encoder
-    slow = build_model(input_dim=3, embed_dim=5, num_classes=2, seed=1).encoder
+    fast = build_model(TrainConfig(embed_dim=4, seed=1), 3, 2).encoder
+    slow = build_model(TrainConfig(embed_dim=5, seed=1), 3, 2).encoder
     with pytest.raises(ConfigurationError):
         momentum_update(slow, fast, 0.5)
 

@@ -20,7 +20,6 @@ from memda.cli import (
     resolve_datasets,
     resolve_settings,
     run_from_settings,
-    train_config_from,
 )
 from memda.datasets import SOURCE, TARGET, load_feature_table, save_feature_table
 from memda.errors import (
@@ -31,6 +30,7 @@ from memda.errors import (
     MemdaError,
     NumericalError,
 )
+from memda.nn import build_model
 from memda.trainer import predict
 
 TINY = {
@@ -104,20 +104,18 @@ def test_bad_value_reports_key(tmp_path):
 def test_flag_overrides_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tau = 0.5\nbatch_size = 64\n")
-    settings = resolve_settings(cfg, {"tau": "0.07"})
-    assert settings["tau"] == 0.07
-    assert settings["batch_size"] == 64
+    config = resolve_settings(cfg, {"tau": "0.07"})
+    assert config.tau == 0.07
+    assert config.batch_size == 64
 
 
 def test_paper_scale_defaults_accepted():
-    settings = resolve_settings(None, {
+    config = resolve_settings(None, {
         "batch_size": "32", "k": "5", "tau": "0.07",
         "lambda_adv": "1", "lambda_sc": "0.1",
         "bank_capacity": "48000", "bootstrap_iters": "4000",
         "total_iters": "90000",
     })
-    config = train_config_from(settings)
-    config.validate()
     assert (config.batch_size, config.k, config.tau) == (32, 5, 0.07)
     assert (config.lambda_adv, config.lambda_sc) == (1.0, 0.1)
 
@@ -290,9 +288,8 @@ def test_batch_knn_needs_k_rows_per_batch_before_writing(tmp_path, capsys):
     assert "batch_size 3" in err and "k=5" in err
     assert not outdir.exists()
     # classifier pseudo-labels never vote, so they take any batch size
-    train_config_from(resolve_settings(None, {
-        "consistency": "batch", "pseudo_labels": "classifier",
-        "batch_size": "3", "k": "5"})).validate()
+    resolve_settings(None, {"consistency": "batch", "pseudo_labels": "classifier",
+                            "batch_size": "3", "k": "5"})
 
 
 def test_train_unknown_key_fails_with_exit_2(tmp_path):
@@ -367,6 +364,24 @@ def test_train_on_feature_tables(tmp_path):
                 + tiny_flags(classes=4, per_class=15)) == 0
     assert ((outdir / "metrics.csv").read_bytes()
             == (generated / "metrics.csv").read_bytes())
+
+
+@pytest.mark.parametrize("target_flags,named", [
+    (["--classes", "4"], "class counts differ"),
+    (["--input-dim", "6"], "feature widths differ"),
+], ids=["classes", "width"])
+def test_mismatched_tables_are_refused_before_writing(tmp_path, capsys,
+                                                      target_flags, named):
+    table = ["--classes", "3", "--input-dim", "4", "--per-class", "6"]
+    assert main(["gen-data", "--out", str(tmp_path / "a")] + table) == 0
+    assert main(["gen-data", "--out", str(tmp_path / "b")] + table + target_flags) == 0
+    capsys.readouterr()
+    outdir = tmp_path / "run"
+    assert main(["train", "--outdir", str(outdir),
+                 "--source-table", str(tmp_path / "a_source.csv"),
+                 "--target-table", str(tmp_path / "b_target.csv")]) == 2
+    assert f"source/target {named}" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_bank_that_never_opens_its_gate_fails_fast(tmp_path, capsys):
@@ -604,6 +619,24 @@ def test_eval_scores_the_saved_runs_data(tmp_path, capsys):
     assert "encoder expects width 5, got 6" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["generated", "table"])
+def test_eval_refuses_a_target_of_another_class_count(tmp_path, capsys,
+                                                       saved_model, target):
+    # the saved model is 5 classes over 5 dimensions
+    if target == "generated":
+        flags = ["--classes", "6"]
+    else:
+        assert main(["gen-data", "--out", str(tmp_path / "d"), "--classes", "4",
+                     "--input-dim", "5", "--per-class", "6"]) == 0
+        flags = ["--target-table", str(tmp_path / "d_target.csv")]
+    capsys.readouterr()
+    assert main(["eval", "--model", str(saved_model)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    count = flags[1] if target == "generated" else "4"
+    assert f"target has {count} classes but the model has 5" in captured.err
+
+
 def test_eval_reads_the_model_file_once(tmp_path, capsys, monkeypatch):
     run_dir = tmp_path / "run"
     assert main(["train", "--outdir", str(run_dir)] + tiny_flags()) == 0
@@ -630,10 +663,9 @@ def test_eval_builds_only_the_networks(monkeypatch, saved_model):
 
 def test_load_model_peak_memory_stays_under_4_mib(tmp_path):
     # default sizes: the three flat vectors hold 0.88 MiB
-    settings = resolve_settings()
-    model = memda.trainer.init_model(train_config_from(settings),
-                                     settings["input_dim"], settings["classes"])
-    memda.cli.save_model(tmp_path / "model.npz", model, settings)
+    config = resolve_settings()
+    model = build_model(config, config.input_dim, config.classes)
+    memda.cli.save_model(tmp_path / "model.npz", model, config)
     load_model(tmp_path / "model.npz")  # first-use imports stay out of the peak
     tracemalloc.start()
     try:
@@ -677,7 +709,8 @@ def per_tensor_layout(path):
     with np.load(path) as data:
         old = {key: data[key] for key in ("settings_json", "input_dim")}
     for name in ("encoder", "classifier", "discriminator"):
-        for i, p in enumerate(getattr(model, name).parameters()):
+        tensors = (p for w, b, _, _ in getattr(model, name).layers for p in (w, b))
+        for i, p in enumerate(tensors):
             old[f"{name}.{i}"] = p
     old["encoder.1"] = old["encoder.1"][:1]
     return old
@@ -757,34 +790,32 @@ def test_train_from_manifest_rejects_a_setting_of_the_wrong_type(
 
 
 def test_saved_settings_keep_their_types():
-    settings = resolve_settings(None, {"tau": 1, "k": 7, "multilinear": False,
-                                       "similarity": "gaussian"})
-    assert type(settings["tau"]) is float and settings["tau"] == 1.0
-    assert (settings["k"], settings["multilinear"]) == (7, False)
-    assert settings["similarity"] == "gaussian"
+    config = resolve_settings(None, {"tau": 1, "k": 7, "multilinear": False,
+                                     "similarity": "gaussian"})
+    assert type(config.tau) is float and config.tau == 1.0
+    assert (config.k, config.multilinear) == (7, False)
+    assert config.similarity == "gaussian"
 
 
 def test_model_round_trip(tmp_path):
-    settings = resolve_settings(None, {**TINY, "seed": "2"})
-    trained = run_from_settings(settings, tmp_path / "run").model
+    config = resolve_settings(None, {**TINY, "seed": "2"})
+    trained = run_from_settings(config, tmp_path / "run").model
     model, saved = load_model(tmp_path / "run" / "model.npz")
     with np.load(tmp_path / "run" / "model.npz") as data:
         assert sorted(data.files) == ["classifier", "discriminator", "encoder",
                                       "input_dim", "num_classes", "settings_json"]
-    assert saved == settings
-    assert train_config_from(saved).seed == 2
+    assert saved == config
+    assert saved.seed == 2
     assert model.encoder.n_in == 5
     assert model.num_classes == 5
     for name in ("encoder", "classifier", "discriminator"):
-        loaded = getattr(model, name).parameters()
-        saved = getattr(trained, name).parameters()
-        assert len(loaded) == len(saved)
-        for a, b in zip(loaded, saved):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()  # bitwise
+        loaded, kept = getattr(model, name), getattr(trained, name)
+        assert loaded.sizes == kept.sizes
+        flat = loaded.flat_params
+        assert flat.dtype == kept.flat_params.dtype
+        assert flat.tobytes() == kept.flat_params.tobytes()  # bitwise
         # the loaded values live in the network's flat vector
-        flat = getattr(model, name).flat_params
-        assert all(np.shares_memory(a, flat) for a in loaded)
-        assert flat.tobytes() == getattr(trained, name).flat_params.tobytes()
-    x = resolve_datasets(settings)[1].features
+        assert all(np.shares_memory(w, flat) and np.shares_memory(b, flat)
+                   for w, b, _, _ in loaded.layers)
+    x = resolve_datasets(config)[1].features
     assert np.array_equal(predict(model, x), predict(trained, x))

@@ -14,12 +14,12 @@ from memda.nn import (
     sigmoid,
     softmax,
 )
+from memda.trainer import TrainConfig
 
 
 def test_zero_network_gives_zero_features():
-    model = build_model(input_dim=3, embed_dim=4, num_classes=2, seed=0)
-    for p in model.encoder.parameters():
-        p[...] = 0.0
+    model = build_model(TrainConfig(embed_dim=4, seed=0), 3, 2)
+    model.encoder.flat_params[...] = 0.0
     f, _ = encoder_forward(np.ones((5, 3)), model.encoder)
     assert np.all(f == 0.0)
 
@@ -33,12 +33,12 @@ def test_identity_layer_forward():
 
 
 def test_weights_are_sequential_scaled_normal_draws_and_biases_zero():
-    sizes = dict(input_dim=5, embed_dim=4, num_classes=3, encoder_hidden=6,
-                 encoder_layers=2, disc_hidden=7)
-    model = build_model(**sizes, seed=12)
+    config = TrainConfig(embed_dim=4, encoder_hidden=6, encoder_layers=2,
+                         disc_hidden=7, seed=12)
+    model = build_model(config, 5, 3)
     rng = np.random.default_rng(12)  # encoder, classifier, discriminator
     for net in (model.encoder, model.classifier, model.discriminator):
-        for w, b in zip(net.parameters()[::2], net.parameters()[1::2]):
+        for w, b, _, _ in net.layers:
             n_out, n_in = w.shape
             assert w.tobytes() == rng.normal(0.0, 1.0 / np.sqrt(n_in),
                                              size=(n_out, n_in)).tobytes()
@@ -46,19 +46,20 @@ def test_weights_are_sequential_scaled_normal_draws_and_biases_zero():
 
 
 def test_layer_parameters_are_views_into_the_flat_vectors():
-    model = build_model(input_dim=5, embed_dim=4, num_classes=3, encoder_hidden=6,
-                        disc_hidden=7, seed=0)
+    model = build_model(
+        TrainConfig(embed_dim=4, encoder_hidden=6, disc_hidden=7, seed=0), 5, 3)
     assert [net.sizes for net in (model.encoder, model.classifier,
                                   model.discriminator)] == [
         (5, 6, 6, 4), (4, 3), (12, 7, 7, 1)]
     for net in (model.encoder, model.classifier, model.discriminator):
-        assert sum(p.size for p in net.parameters()) == net.flat_params.size
+        assert sum(w.size + b.size for w, b, _, _ in net.layers) == net.flat_params.size
         for w, b, gw, gb in net.layers:
             assert np.shares_memory(w, net.flat_params)
             assert np.shares_memory(b, net.flat_params)
             assert np.shares_memory(gw, net.flat_grads)
             assert np.shares_memory(gb, net.flat_grads)
-        flat = np.concatenate([p.ravel() for p in net.parameters()])
+        flat = np.concatenate([p.ravel() for w, b, _, _ in net.layers
+                               for p in (w, b)])
         assert flat.tobytes() == net.flat_params.tobytes()  # in layer order
         net.flat_grads[...] = 1.0
         net.zero_grads()
@@ -67,7 +68,7 @@ def test_layer_parameters_are_views_into_the_flat_vectors():
 
 
 def test_clone_shares_no_memory_with_the_original():
-    encoder = build_model(input_dim=5, embed_dim=4, seed=0).encoder
+    encoder = build_model(TrainConfig(embed_dim=4, seed=0), 5, 2).encoder
     copy = encoder.clone()
     assert copy.sizes == encoder.sizes and copy.relu == encoder.relu
     assert copy.flat_params.tobytes() == encoder.flat_params.tobytes()
@@ -76,11 +77,13 @@ def test_clone_shares_no_memory_with_the_original():
     for a in mine:
         assert not np.shares_memory(a, encoder.flat_params)
         assert not np.shares_memory(a, encoder.flat_grads)
-    assert all(np.shares_memory(p, copy.flat_params) for p in copy.parameters())
+    assert all(np.shares_memory(w, copy.flat_params)
+               and np.shares_memory(b, copy.flat_params)
+               for w, b, _, _ in copy.layers)
 
 
 def test_backward_into_its_own_input_matches_a_fresh_result():
-    model = build_model(input_dim=5, embed_dim=4, num_classes=3, seed=2)
+    model = build_model(TrainConfig(embed_dim=4, seed=2), 5, 3)
     rng = np.random.default_rng(3)
     h = rng.normal(size=(6, model.discriminator.n_in))
     dz = rng.normal(size=(6, 1))
@@ -97,19 +100,19 @@ def test_backward_into_its_own_input_matches_a_fresh_result():
 
 def test_encoder_matches_straight_line_oracle():
     # re-evaluate the 2-hidden-layer forward pass with explicit matmuls
-    model = build_model(input_dim=5, embed_dim=3, num_classes=2,
-                        encoder_hidden=7, encoder_layers=2, seed=11)
+    model = build_model(
+        TrainConfig(embed_dim=3, encoder_hidden=7, encoder_layers=2, seed=11), 5, 2)
     rng = np.random.default_rng(42)
     x = rng.normal(size=(6, 5))
     f, _ = encoder_forward(x, model.encoder)
 
-    w1, b1, w2, b2, w3, b3 = model.encoder.parameters()
+    (w1, b1, _, _), (w2, b2, _, _), (w3, b3, _, _) = model.encoder.layers
     expected = np.tanh(np.tanh(x @ w1.T + b1) @ w2.T + b2) @ w3.T + b3
     assert np.max(np.abs(f - expected)) <= 1e-12
 
 
 def test_encoder_shape_mismatch():
-    model = build_model(input_dim=5, embed_dim=3, seed=0)
+    model = build_model(TrainConfig(embed_dim=3, seed=0), 5, 2)
     with pytest.raises(ConfigurationError):
         encoder_forward(np.zeros((2, 4)), model.encoder)
     with pytest.raises(ConfigurationError):
@@ -137,7 +140,7 @@ def test_softmax_direct_evaluation_oracle():
 
 
 def test_classifier_rows_are_distributions():
-    model = build_model(input_dim=4, embed_dim=6, num_classes=9, seed=3)
+    model = build_model(TrainConfig(embed_dim=6, seed=3), 4, 9)
     rng = np.random.default_rng(0)
     probs, _, _ = classifier_forward(rng.normal(size=(20, 6)), model.classifier)
     assert np.all(probs >= 0.0)
@@ -145,36 +148,33 @@ def test_classifier_rows_are_distributions():
 
 
 def test_classifier_rejects_non_finite_logits():
-    model = build_model(input_dim=4, embed_dim=6, num_classes=3, seed=3)
-    model.classifier.parameters()[0][...] = np.inf
+    model = build_model(TrainConfig(embed_dim=6, seed=3), 4, 3)
+    model.classifier.layers[0][0][...] = np.inf  # the weights
     with pytest.raises(NumericalError):
         classifier_forward(np.ones((1, 6)), model.classifier)
 
 
 def test_discriminator_zero_network_outputs_half():
-    model = build_model(input_dim=4, embed_dim=2, num_classes=2, seed=0)
-    for p in model.discriminator.parameters():
-        p[...] = 0.0
+    model = build_model(TrainConfig(embed_dim=2, seed=0), 4, 2)
+    model.discriminator.flat_params[...] = 0.0
     p, _ = discriminator_forward(np.ones((3, 4)), model.discriminator)
     assert np.all(p == 0.5)
 
 
 def test_discriminator_clamps_saturated_output():
-    model = build_model(input_dim=1, embed_dim=1, num_classes=1, disc_hidden=2, seed=0)
-    for p in model.discriminator.parameters():
-        p[...] = 50.0
+    model = build_model(TrainConfig(embed_dim=1, disc_hidden=2, seed=0), 1, 1)
+    model.discriminator.flat_params[...] = 50.0
     p, _ = discriminator_forward(np.array([[100.0]]), model.discriminator)
     assert p[0] == 1.0 - PROB_EPS
 
 
 def test_discriminator_matches_straight_line_oracle():
-    model = build_model(input_dim=2, embed_dim=2, num_classes=2,
-                        disc_hidden=5, seed=9)
+    model = build_model(TrainConfig(embed_dim=2, disc_hidden=5, seed=9), 2, 2)
     rng = np.random.default_rng(7)
     h = rng.normal(size=(4, 4))
     p, _ = discriminator_forward(h, model.discriminator)
 
-    w1, b1, w2, b2, w3, b3 = model.discriminator.parameters()
+    (w1, b1, _, _), (w2, b2, _, _), (w3, b3, _, _) = model.discriminator.layers
     z = np.maximum(h @ w1.T + b1, 0.0)
     z = np.maximum(z @ w2.T + b2, 0.0)
     z = (z @ w3.T + b3)[:, 0]
@@ -239,7 +239,7 @@ def test_same_seed_bitwise_identical_forward_and_grads():
     dy = rng.normal(size=(4, 2))
     outs, grads = [], []
     for _ in range(2):
-        model = build_model(input_dim=3, embed_dim=2, num_classes=2, seed=77)
+        model = build_model(TrainConfig(embed_dim=2, seed=77), 3, 2)
         f, tape = encoder_forward(x, model.encoder)
         model.encoder.backward(tape, dy)
         outs.append(f)

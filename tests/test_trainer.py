@@ -121,10 +121,10 @@ def test_sgd_rejects_non_finite_gradient():
 
 
 def test_flat_sgd_step_equals_the_per_tensor_step():
-    flat_net, tensor_net = (build_model(input_dim=5, embed_dim=4, seed=3).encoder
+    flat_net, tensor_net = (build_model(TrainConfig(embed_dim=4, seed=3), 5, 2).encoder
                             for _ in range(2))
     flat = SGD([flat_net.flat_params], momentum=0.9, weight_decay=5e-4)
-    params = tensor_net.parameters()
+    params = [p for w, b, _, _ in tensor_net.layers for p in (w, b)]
     per_tensor = SGD(params, momentum=0.9, weight_decay=5e-4)
     cuts = np.cumsum([p.size for p in params])[:-1]
     tensor_grads = [g.reshape(p.shape) for g, p in
@@ -294,8 +294,7 @@ def test_seed_determinism_end_to_end():
     assert a.evaluation.overall_accuracy == b.evaluation.overall_accuracy
     for ra, rb in zip(a.history, b.history):
         assert ra == rb
-    for pa, pb in zip(a.model.encoder.parameters(), b.model.encoder.parameters()):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(a.model.encoder.flat_params, b.model.encoder.flat_params)
 
 
 def test_ablation_identity_gated_off_equals_never_built():
@@ -354,18 +353,15 @@ def test_momentum_encoder_lifecycle():
             assert state.model.momentum is None
     assert state.model.momentum is not None
     # the slow copy trails the trained encoder
-    diffs = [
-        np.max(np.abs(ps - pe)) for ps, pe in zip(
-            state.model.momentum.parameters(), state.model.encoder.parameters())
-    ]
-    assert max(diffs) > 0.0
+    assert np.max(np.abs(state.model.momentum.flat_params
+                         - state.model.encoder.flat_params)) > 0.0
 
 
 def test_non_finite_loss_aborts_with_context():
     src, tgt = small_domains()
     cfg = small_config()
     state = init_state(cfg, src.dim, src.num_classes)
-    state.model.encoder.parameters()[0][...] = np.inf
+    state.model.encoder.layers[0][0][...] = np.inf  # the first weights
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
         train_step(state, src.features[:4], src.train_labels[:4],
                    tgt.features[:4], None, 0, cfg)
@@ -531,7 +527,7 @@ def test_chunked_predict_equals_full_batch_pass():
     base = gen_gaussian_mixture(50, 16, 200, 4.0, 1.0, seed=1)
     target = apply_domain_shift(base, ShiftSpec.from_degrees(30.0, noise=0.1, seed=2))
     assert len(target) > 2 * PREDICT_CHUNK
-    model = build_model(input_dim=16, embed_dim=32, num_classes=50, seed=0)
+    model = build_model(TrainConfig(embed_dim=32, seed=0), 16, 50)
     f, _ = encoder_forward(target.features, model.encoder)
     _, logits, _ = classifier_forward(f, model.classifier)
     chunks = []
