@@ -29,7 +29,7 @@ import numpy as np
 
 from . import similarity as simmod
 from .errors import ConfigurationError
-from .nn import MLP
+from .nn import MLP, as_batch
 
 
 class MemoryBank:
@@ -76,11 +76,9 @@ class MemoryBank:
         return flat[0].reshape(shape), flat[1].reshape(shape), mask
 
     def enqueue(self, features, labels) -> None:
-        """Append a batch, evicting the oldest overflow entries if needed."""
-        feats = np.array(features, dtype=np.float64, copy=True)
-        if feats.ndim == 1:
-            feats = feats[None, :]
-        labs = np.array(labels, dtype=np.int64, copy=True).reshape(-1)
+        """Append a 2-D batch, evicting the oldest overflow entries if needed."""
+        feats = as_batch(features)
+        labs = np.asarray(labels, dtype=np.int64).reshape(-1)
         if feats.shape[0] != labs.shape[0]:
             raise ConfigurationError(
                 f"{feats.shape[0]} features vs {labs.shape[0]} labels"

@@ -352,15 +352,6 @@ def cmd_eval(args) -> int:
 # argument plumbing
 
 
-def _add_setting_flags(parser) -> None:
-    """One flag per setting; only the flags given reach the namespace."""
-    for key, default in ALL_DEFAULTS.items():
-        parser.add_argument("--" + key.replace("_", "-"), dest=key,
-                            default=argparse.SUPPRESS,
-                            metavar=type(default).__name__.upper(),
-                            help=f"default {json.dumps(default)}")
-
-
 def _collect_overrides(args) -> dict:
     """The setting flags given on the command line, as raw strings."""
     return {key: raw for key, raw in vars(args).items() if key in ALL_DEFAULTS}
@@ -373,36 +364,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "and sample-consistency training.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    # --config and one flag per setting, shared by every subcommand; only
+    # the flags given reach the namespace
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--config", default=None)
+    for key, default in ALL_DEFAULTS.items():
+        settings.add_argument("--" + key.replace("_", "-"), dest=key,
+                              default=argparse.SUPPRESS,
+                              metavar=type(default).__name__.upper(),
+                              help=f"default {json.dumps(default)}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen-data", help="write synthetic source/target tables")
-    gen.add_argument("--config", default=None)
+    gen = sub.add_parser("gen-data", parents=[settings],
+                         help="write synthetic source/target tables")
     gen.add_argument("--out", required=True, help="output path prefix")
-    _add_setting_flags(gen)
     gen.set_defaults(func=cmd_gen_data)
 
-    tr = sub.add_parser("train", help="train one configuration")
-    tr.add_argument("--config", default=None)
+    tr = sub.add_parser("train", parents=[settings], help="train one configuration")
     tr.add_argument("--outdir", required=True)
     tr.add_argument("--from-manifest", default=None,
                     help="start from a saved manifest's settings; --config "
-                         "and the flags below apply on top")
-    _add_setting_flags(tr)
+                         "and the setting flags apply on top")
     tr.set_defaults(func=cmd_train)
 
-    ab = sub.add_parser("ablate", help="grid sweep over one axis")
-    ab.add_argument("--config", default=None)
+    ab = sub.add_parser("ablate", parents=[settings], help="grid sweep over one axis")
     ab.add_argument("--outdir", required=True)
     ab.add_argument("--axis", required=True)
     ab.add_argument("--values", required=True, help="comma-separated values")
     ab.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
-    _add_setting_flags(ab)
     ab.set_defaults(func=cmd_ablate)
 
-    ev = sub.add_parser("eval", help="evaluate a saved model on a target table")
+    ev = sub.add_parser("eval", parents=[settings],  # --target-table is a setting
+                        help="evaluate a saved model on a target table")
     ev.add_argument("--model", required=True)
-    ev.add_argument("--config", default=None)
-    _add_setting_flags(ev)  # --target-table comes from the settings registry
     ev.set_defaults(func=cmd_eval)
     return parser
 

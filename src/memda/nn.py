@@ -29,12 +29,10 @@ PROB_EPS = 1e-7  # probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before 
 
 
 def as_batch(x) -> np.ndarray:
-    """Coerce input to a 2-D float64 array (a single vector becomes one row)."""
+    """``x`` as a 2-D float64 array, one sample per row."""
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[None, :]
     if a.ndim != 2:
-        raise ConfigurationError(f"expected a vector or a 2-D batch, got ndim={a.ndim}")
+        raise ConfigurationError(f"expected a 2-D batch, got ndim={a.ndim}")
     return a
 
 

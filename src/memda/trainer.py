@@ -269,27 +269,24 @@ def forward_backward(model: ModelBundle, x_source, y_source, x_target,
     l_sup, dprobs[:ns] = losses.supervised_loss(g[:ns], y_source)
 
     if adversarial:
-        # the conditioned batch lives in the model's resident buffer, which
+        # CDAN's map f ⊗ c, with c = g when conditioned and a constant 1
+        # otherwise; the batch lives in the model's resident buffer, which
         # the discriminator's backward then overwrites with its own gradient
-        h = (losses.multilinear_map(f, g, out=model.conditioned_buffer(len(f)))
-             if model.multilinear else f)
+        c = g if model.multilinear else np.ones((len(f), 1))
+        h = losses.multilinear_map(f, c, out=model.conditioned_buffer(len(f)))
         p, tape_d = discriminator_forward(h, model.discriminator)
         l_d, dps, dpt = losses.discriminator_loss(p[:ns], p[ns:])
         # discriminator itself minimizes l_d ...
         dz = (np.concatenate([dps, dpt]) * p * (1.0 - p))[:, None]
-        dh = model.discriminator.backward(
-            tape_d, dz, out=h if model.multilinear else None)
+        dh = model.discriminator.backward(tape_d, dz, out=h)
         # ... while the encoder/classifier side sees the reversed gradient
         gradient_reversal(dh, lambda_adv, out=dh)
-        if model.multilinear:
-            # with "both" the conditioning vector g carries gradient too
-            both = config.condition_backprop == "both"
-            dfa, dga = losses.multilinear_map_vjp(f, g, dh, need_dg=both)
-            if both:
-                dprobs += dga
-            df += dfa
-        else:
-            df += dh
+        # with "both" the conditioning vector g carries gradient too
+        both = model.multilinear and config.condition_backprop == "both"
+        dfa, dga = losses.multilinear_map_vjp(f, c, dh, need_dg=both)
+        if both:
+            dprobs += dga
+        df += dfa
 
     consistency = None
     if sc_active:
