@@ -19,8 +19,8 @@ layer's weights, then its bias, in layer order); ``settings_json``, the
 run's resolved settings; and ``input_dim`` and ``num_classes``, from which
 ``load_model`` rebuilds the networks before it copies the vectors in.
 
-Exit codes: 0 success; 2 bad configuration or data file, or a file that
-cannot be read or written;
+Exit codes: 0 success; 2 bad configuration or data file, a file that
+cannot be read or written, or settings too large for the memory;
 3 numerical failure (non-finite loss, logits or gradient); 4 degenerate
 input (e.g. a zero-norm feature for the cosine kernel); 5 gating violation.
 Each comes from the ``exit_code`` of the package error (``memda.errors``).
@@ -143,9 +143,22 @@ def resolve_datasets(config: TrainConfig):
     return _generate_datasets(config)
 
 
+def _data_seed(config: TrainConfig) -> int:
+    return config.data_seed if config.data_seed >= 0 else config.seed
+
+
+def _data_setting(config: TrainConfig) -> tuple:
+    """What ``resolve_datasets`` reads of ``config``: the table paths, or the
+    generated data's sizes, shift and seed."""
+    if config.source_table or config.target_table:
+        return config.source_table, config.target_table
+    return (*config.mixture, config.rotation_deg, config.shift_noise,
+            _data_seed(config))
+
+
 def _generate_datasets(config: TrainConfig):
     """The synthetic (source, target) pair the data settings describe."""
-    dseed = config.data_seed if config.data_seed >= 0 else config.seed
+    dseed = _data_seed(config)
     source = gen_gaussian_mixture(*config.mixture, seed=dseed)
     base = gen_gaussian_mixture(*config.mixture, seed=dseed + 1)
     shift = ShiftSpec.from_degrees(config.rotation_deg, noise=config.shift_noise,
@@ -204,7 +217,7 @@ def load_model(path):
                                   for key in ("input_dim", "num_classes"))
         config = resolve_settings(base=_read_array(
             path, data, "settings_json", lambda a: dict(json.loads(a.item()))))
-        model = build_model(config, input_dim, num_classes)
+        model = build_model(config, input_dim, num_classes, draw=False)
         for name, saved in zip(NETWORKS, vectors):
             net = getattr(model, name)
             if saved.shape != net.flat_params.shape:
@@ -313,11 +326,14 @@ def cmd_ablate(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
+    rows, data = [], {}  # each distinct data setting is read or generated once
     for raw, runs in grid:
         accs = []
         for config in runs:
-            result = run_training(config, *resolve_datasets(config))
+            key = _data_setting(config)
+            if key not in data:
+                data[key] = resolve_datasets(config)
+            result = run_training(config, *data[key])
             accs.append(result.evaluation.overall_accuracy)
             rows.append((raw, str(config.seed), accs[-1]))
         rows.append((raw, "median", float(np.median(accs))))
@@ -342,8 +358,7 @@ def cmd_eval(args) -> int:
         _, target = resolve_datasets(config)
     report = evaluate(model, target)
     if math.isnan(report.overall_accuracy):
-        print("target table has no evaluation labels")
-        return 2
+        raise DataFormatError("target table has no evaluation labels")
     print(json.dumps(accuracy_dict(report), indent=2, sort_keys=True))
     return 0
 
@@ -410,6 +425,9 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:  # unreadable or unwritable
         print(f"error: {exc}", file=sys.stderr)
+        return ConfigurationError.exit_code
+    except MemoryError as exc:  # settings too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return ConfigurationError.exit_code
 
 

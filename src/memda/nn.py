@@ -139,14 +139,17 @@ class ModelBundle:
         return self._conditioned[:size].reshape(n, -1)
 
 
-def build_model(config, input_dim: int, num_classes: int) -> ModelBundle:
+def build_model(config, input_dim: int, num_classes: int,
+                draw: bool = True) -> ModelBundle:
     """The untrained encoder/classifier/discriminator stack for data of
     these widths, with the sizes, ``multilinear`` and ``seed`` of
-    ``config`` (a ``trainer.TrainConfig``). The sizes are
-    ``TrainConfig.validate``'s to check; the data's widths are checked here."""
+    ``config`` (a ``trainer.TrainConfig``); with ``draw`` False every
+    parameter starts at zero, for a caller that copies saved ones in. The
+    sizes are ``TrainConfig.validate``'s to check; the data's widths are
+    checked here."""
     if min(input_dim, num_classes) < 1:
         raise ConfigurationError("model dimensions must be positive")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed) if draw else None
     embed_dim, hidden = config.embed_dim, config.disc_hidden
     encoder = MLP([input_dim] + [config.encoder_hidden] * config.encoder_layers
                   + [embed_dim], relu=False, rng=rng)  # hidden tanh, linear projection

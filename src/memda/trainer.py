@@ -136,15 +136,16 @@ class TrainConfig:
                 or (self.encoder_layers and self.encoder_hidden < 1)):
             raise ConfigurationError("model dimensions must be positive")
         simmod.SimilarityKind(self.similarity, self.gaussian_sigma)
-        if self.consistency == MEMORY and self.bank_capacity < self.gate_entries:
+        if (self.runs_consistency and self.consistency == MEMORY
+                and self.bank_capacity < self.gate_entries):
             raise ConfigurationError(
                 f"bank_capacity {self.bank_capacity} is below the "
                 f"{self.gate_entries} entries the consistency loss waits for "
                 f"(min_bank_entries, else 5*k with k={self.k}), so it would "
                 f"never switch on: raise bank_capacity or lower "
                 f"min_bank_entries or k")
-        if (self.consistency == BATCH and self.pseudo_labels == KNN
-                and self.batch_size < self.k):
+        if (self.runs_consistency and self.consistency == BATCH
+                and self.pseudo_labels == KNN and self.batch_size < self.k):
             raise ConfigurationError(
                 f"batch_size {self.batch_size} is below k={self.k}: batch "
                 f"consistency votes over the current source batch, so the "
@@ -158,6 +159,13 @@ class TrainConfig:
         """``check_mixture``'s and ``gen_gaussian_mixture``'s size arguments."""
         return (self.classes, self.input_dim, self.per_class, self.class_spread,
                 self.within_std)
+
+    @property
+    def runs_consistency(self) -> bool:
+        """Whether the consistency branch ever runs: for the loss, or for
+        the diagnostics alone."""
+        return self.consistency != OFF and (
+            self.lambda_sc > 0 or self.diagnostics == "on")
 
     @property
     def gate_entries(self) -> int:
@@ -326,7 +334,7 @@ def init_state(config: TrainConfig, input_dim: int, num_classes: int) -> Trainer
     model = build_model(config, input_dim, num_classes)
     bank = (MemoryBank(config.bank_capacity, config.embed_dim,
                        config.similarity_kind)
-            if config.consistency == MEMORY else None)
+            if config.runs_consistency and config.consistency == MEMORY else None)
     opt_encoder = SGD([model.encoder.flat_params], config.sgd_momentum,
                       config.weight_decay)
     opt_heads = SGD([model.classifier.flat_params,
@@ -346,8 +354,7 @@ def train_step(state: TrainerState, x_source, y_source, x_target, y_target_eval,
         raise ConfigurationError("iteration past total_iters")
     model, bank = state.model, state.bank
     bootstrap = iteration < config.bootstrap_iters
-    want_sc = not bootstrap and config.consistency != OFF and (
-        config.lambda_sc > 0 or config.diagnostics == "on")
+    want_sc = not bootstrap and config.runs_consistency
     sc_active = want_sc and (
         config.consistency == BATCH or len(bank) >= config.gate_entries)
 

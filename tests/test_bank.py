@@ -63,6 +63,14 @@ def test_full_batch_twice_keeps_second():
     assert list(bank.labels()) == [3, 4, 5]
 
 
+@pytest.mark.parametrize("shape", [(4,), (1, 2, 4)], ids=["vector", "3-d"])
+def test_enqueue_takes_2d_batches_only(shape):
+    bank = MemoryBank(8, 4, EUC)
+    with pytest.raises(ConfigurationError, match="2-D batch"):
+        bank.enqueue(np.ones(shape), [0])
+    assert len(bank) == 0
+
+
 def test_width_mismatch_rejected():
     bank = MemoryBank(8, 4, EUC)
     bank.enqueue(np.ones((2, 4)), [0, 1])

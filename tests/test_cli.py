@@ -292,6 +292,21 @@ def test_batch_knn_needs_k_rows_per_batch_before_writing(tmp_path, capsys):
                             "batch_size": "3", "k": "5"})
 
 
+@pytest.mark.parametrize("flags,rule", [
+    ({"bank_capacity": 4, "k": 2}, "would never switch on"),
+    ({"consistency": "batch", "batch_size": 3, "k": 5}, "needs batch_size >= k"),
+], ids=["memory", "batch"])
+def test_bank_rules_hold_only_where_the_consistency_branch_runs(
+        tmp_path, capsys, flags, rule):
+    # at lambda_sc 0 the branch never runs, so its rules cannot refuse a run
+    assert main(["train", "--outdir", str(tmp_path / "r")]
+                + tiny_flags(lambda_sc=0, **flags)) == 0
+    # diagnostics "on" runs it anyway, and the rule holds again
+    assert main(["train", "--outdir", str(tmp_path / "d")]
+                + tiny_flags(lambda_sc=0, diagnostics="on", **flags)) == 2
+    assert rule in capsys.readouterr().err
+
+
 def test_train_unknown_key_fails_with_exit_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("warp_speed = 9\n")
@@ -416,6 +431,22 @@ def test_package_errors_map_to_documented_exit_codes(tmp_path, monkeypatch,
     monkeypatch.setattr(memda.cli, "run_training", fail)
     assert main(["train", "--outdir", str(tmp_path / "r")] + tiny_flags()) == code
     assert capsys.readouterr().err == f"{error.label}: boom\n"
+
+
+def test_out_of_memory_exits_2_with_one_line_and_keeps_the_manifest(
+        tmp_path, monkeypatch, capsys):
+    message = ("Unable to allocate 59.6 GiB for an array with shape "
+               "(2000000000, 4) and data type float64")
+
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(memda.trainer, "MemoryBank", fail)
+    outdir = tmp_path / "r"
+    assert main(["train", "--outdir", str(outdir)]
+                + tiny_flags(bank_capacity=1_000_000_000)) == 2
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+    assert [p.name for p in outdir.iterdir()] == ["manifest.json"]
 
 
 def test_numerical_failure_reports_one_line(tmp_path):
@@ -573,6 +604,33 @@ def test_package_root_imports_nothing():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_ablate_reads_each_data_setting_once(tmp_path, monkeypatch):
+    assert main(["gen-data", "--out", str(tmp_path / "d"), "--classes", "5",
+                 "--input-dim", "5", "--per-class", "20"]) == 0
+    calls = {"tables": 0, "mixtures": 0}
+    load, generate = memda.cli.load_feature_table, memda.cli.gen_gaussian_mixture
+
+    def counting(kind, real):
+        def wrapped(*args, **kwargs):
+            calls[kind] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(memda.cli, "load_feature_table", counting("tables", load))
+    monkeypatch.setattr(memda.cli, "gen_gaussian_mixture",
+                        counting("mixtures", generate))
+    sweep = ["--axis", "tau", "--values", "0.07,0.5", "--seeds", "0,1,2"]
+    assert main(["ablate", "--outdir", str(tmp_path / "t")] + sweep
+                + ["--source-table", str(tmp_path / "d_source.csv"),
+                   "--target-table", str(tmp_path / "d_target.csv")]
+                + tiny_flags(total_iters=12)) == 0
+    assert calls == {"tables": 2, "mixtures": 0}  # one source, one target
+    # generated data: one pair per seed, two mixtures each
+    assert main(["ablate", "--outdir", str(tmp_path / "g")] + sweep
+                + tiny_flags(total_iters=12)) == 0
+    assert calls == {"tables": 2, "mixtures": 2 * 3}
+
+
 def test_single_value_sweep_matches_train(tmp_path):
     outdir = tmp_path / "one"
     rc = main(["ablate", "--outdir", str(outdir),
@@ -637,6 +695,18 @@ def test_eval_refuses_a_target_of_another_class_count(tmp_path, capsys,
     assert f"target has {count} classes but the model has 5" in captured.err
 
 
+def test_eval_on_an_unlabeled_target_reports_on_stderr(tmp_path, capsys,
+                                                       saved_model):
+    # the saved model is 5 classes over 5 dimensions
+    table = tmp_path / "unlabeled.csv"
+    table.write_text("# domain: target\n5,5\n" + "-1,1,2,3,4,5\n" * 4)
+    assert main(["eval", "--model", str(saved_model),
+                 "--target-table", str(table)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: target table has no evaluation labels\n"
+
+
 def test_eval_reads_the_model_file_once(tmp_path, capsys, monkeypatch):
     run_dir = tmp_path / "run"
     assert main(["train", "--outdir", str(run_dir)] + tiny_flags()) == 0
@@ -661,8 +731,9 @@ def test_eval_builds_only_the_networks(monkeypatch, saved_model):
     assert main(["eval", "--model", str(saved_model)]) == 0
 
 
-def test_load_model_peak_memory_stays_under_4_mib(tmp_path):
-    # default sizes: the three flat vectors hold 0.88 MiB
+def test_load_model_peak_memory_stays_under_3_mib(tmp_path):
+    # default sizes: the three flat vectors hold 0.88 MiB; the networks are
+    # built without initial draws
     config = resolve_settings()
     model = build_model(config, config.input_dim, config.classes)
     memda.cli.save_model(tmp_path / "model.npz", model, config)
@@ -673,7 +744,7 @@ def test_load_model_peak_memory_stays_under_4_mib(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 3 * 2**20
 
 
 @pytest.mark.parametrize("flag,value", [("--rotation-deg", "nan"),

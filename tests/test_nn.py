@@ -6,6 +6,7 @@ from memda.errors import ConfigurationError, NumericalError
 from memda.nn import (
     PROB_EPS,
     MLP,
+    as_batch,
     build_model,
     classifier_forward,
     discriminator_forward,
@@ -15,6 +16,13 @@ from memda.nn import (
     softmax,
 )
 from memda.trainer import TrainConfig
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 2, 3)], ids=["vector", "3-d"])
+def test_as_batch_takes_2d_batches_only(shape):
+    with pytest.raises(ConfigurationError, match="expected a 2-D batch"):
+        as_batch(np.ones(shape))
+    assert as_batch([[1, 2, 3]]).dtype == np.float64
 
 
 def test_zero_network_gives_zero_features():

@@ -330,6 +330,12 @@ def test_batch_variant_runs_without_bank():
     assert any(r.l_sc > 0.0 for r in result.history[cfg.bootstrap_iters:])
 
 
+def test_no_bank_is_built_for_a_branch_that_never_runs():
+    assert init_state(TrainConfig(lambda_sc=0.0), 16, 50).bank is None
+    assert init_state(TrainConfig(lambda_sc=0.0, diagnostics="on"),
+                      16, 50).bank is not None
+
+
 def test_classifier_pseudo_label_mode_runs():
     src, tgt = small_domains()
     cfg = small_config(pseudo_labels="classifier")
