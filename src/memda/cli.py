@@ -22,7 +22,7 @@ run's resolved settings; and ``input_dim`` and ``num_classes``, from which
 Exit codes: 0 success; 2 bad configuration or data file, a file that
 cannot be read or written, or settings too large for the memory;
 3 numerical failure (non-finite loss, logits or gradient); 4 degenerate
-input (e.g. a zero-norm feature for the cosine kernel); 5 gating violation.
+input (e.g. a zero-norm feature for the cosine kernel).
 Each comes from the ``exit_code`` of the package error (``memda.errors``).
 """
 

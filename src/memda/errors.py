@@ -6,7 +6,6 @@ the command line returns for it (see ``memda.cli.main``):
     2  ConfigurationError, DataFormatError   bad settings or input files
     3  NumericalError                        non-finite value while training
     4  DegenerateInputError                  e.g. a zero-norm cosine feature
-    5  GatingError                           an operation ran before its gate
 """
 
 
@@ -43,10 +42,3 @@ class DegenerateInputError(MemdaError, ValueError):
     exit_code = 4
     label = "degenerate input"
 
-
-class GatingError(MemdaError, RuntimeError):
-    """An operation ran before its gate opened (e.g. consistency loss on a
-    bank with fewer entries than k)."""
-
-    exit_code = 5
-    label = "gating violation"

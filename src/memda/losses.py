@@ -17,9 +17,9 @@ anchors. ``sample_consistency_memory`` is the one consistency entry. The
 bank's score, work and mask matrices are reused by every call on it: a
 ``ConsistencyResult``'s ``sim`` and the ``dsim`` of
 ``consistency_from_similarity`` alias those buffers until the next call on
-the same bank, while ``value``, ``grad_targets``, ``labels``, ``positives``
-and ``per_anchor`` are the caller's own; ``grad_targets`` is None unless
-the call asks for it with ``need_grad``. Each step finds the positive pairs
+the same bank, while ``value``, ``grad_targets``, ``labels`` and
+``positives`` are the caller's own; ``grad_targets`` is None unless the
+call asks for it with ``need_grad``. Each step finds the positive pairs
 once, as ascending flat row-major indices into the score matrix; the loss,
 its gradient and the similarity diagnostics take them in that form only.
 """
@@ -111,7 +111,6 @@ class ConsistencyResult:
     labels: np.ndarray               # the anchors' pseudo-labels
     positives: np.ndarray            # read by the diagnostics too
     sim: np.ndarray                  # the scores used; aliases the bank's buffer
-    per_anchor: np.ndarray           # (n_targets,) individual -log terms
     skipped: int                     # anchors with an empty positive set
 
 
@@ -187,8 +186,8 @@ def sample_consistency_memory(targets, bank, tau: float, k: int,
 
     Pseudo-labels default to a kNN vote over the bank, whose positive set
     is nonempty by construction (the winning class has at least one
-    neighbour in the bank); the vote raises ``GatingError`` for a bank of
-    fewer than k entries. Pass ``pseudo_labels`` explicitly for the
+    neighbour in the bank); the vote raises ``ConfigurationError`` for a
+    bank of fewer than k entries. Pass ``pseudo_labels`` explicitly for the
     classifier-based ablation, which never reads k. Without ``need_grad``
     the similarity VJP is skipped and ``grad_targets`` is None.
     """
@@ -201,9 +200,8 @@ def sample_consistency_memory(targets, bank, tau: float, k: int,
     labels = np.asarray(pseudo_labels)
     np.equal(ref_labels[None, :], labels[:, None], out=mask)
     positives = np.flatnonzero(mask)
-    value, dsim, per_anchor, skipped = consistency_from_similarity(
+    value, dsim, _, skipped = consistency_from_similarity(
         sim, positives, tau, work=work)
     grad = (simmod.pairwise_similarity_vjp(targets, bank, dsim, sim)
             if need_grad else None)
-    return ConsistencyResult(value, grad, labels, positives, sim,
-                             per_anchor, skipped)
+    return ConsistencyResult(value, grad, labels, positives, sim, skipped)

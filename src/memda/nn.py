@@ -202,19 +202,16 @@ def classifier_forward(f, classifier: MLP):
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """The logistic function, from an exp that cannot overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def discriminator_forward(h, discriminator: MLP):
     """Domain probability in [eps, 1-eps] for a conditioned batch.
 
-    Returns (p, tape) with p of shape (n,). The clamp is a value clamp only;
-    the backward pass treats it as the identity.
+    Returns (p, tape) with p of shape (n,). A clamped p gets zero gradient
+    from ``losses.discriminator_loss``: the clamp is part of the function.
     """
     z, tape = discriminator.forward(
         _input_batch(h, discriminator, "discriminator"))

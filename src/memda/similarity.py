@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, GatingError
+from .errors import ConfigurationError, DegenerateInputError
 
 if TYPE_CHECKING:
     from .bank import MemoryBank
@@ -137,7 +137,6 @@ class PseudoLabelAssignment:
 
     labels: np.ndarray     # (n,) winning classes
     neighbors: np.ndarray  # (n, k) reference positions, most similar first
-    votes: np.ndarray      # (n, num_classes) per-class neighbour counts
 
 
 KNN_GROUPS = 64  # column groups whose maxima bound each row's k-th score
@@ -156,7 +155,7 @@ def assign_pseudo_labels(sim: np.ndarray, ref_labels, k: int,
     ref_labels = np.asarray(ref_labels, dtype=np.int64).reshape(-1)
     n, m = sim.shape
     if m < k:
-        raise GatingError(f"reference set of size {m} smaller than k={k}")
+        raise ConfigurationError(f"reference set of size {m} smaller than k={k}")
     if ref_labels.size != m:
         raise ConfigurationError(f"{ref_labels.size} labels for {m} references")
     bad = (ref_labels < 0) | (ref_labels >= num_classes)
@@ -186,4 +185,4 @@ def assign_pseudo_labels(sim: np.ndarray, ref_labels, k: int,
     np.add.at(cumsim, flat, vals[pick].ravel())  # in neighbour order
     tied = np.where(votes == votes.max(axis=1, keepdims=True),
                     cumsim.reshape(n, num_classes), -np.inf)
-    return PseudoLabelAssignment(tied.argmax(axis=1), neighbors, votes)
+    return PseudoLabelAssignment(tied.argmax(axis=1), neighbors)

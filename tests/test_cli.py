@@ -26,7 +26,6 @@ from memda.errors import (
     ConfigurationError,
     DataFormatError,
     DegenerateInputError,
-    GatingError,
     MemdaError,
     NumericalError,
 )
@@ -419,7 +418,7 @@ def test_out_of_range_optimiser_settings_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("error,code", [
     (ConfigurationError, 2), (DataFormatError, 2), (NumericalError, 3),
-    (DegenerateInputError, 4), (GatingError, 5),
+    (DegenerateInputError, 4),
 ])
 def test_package_errors_map_to_documented_exit_codes(tmp_path, monkeypatch,
                                                      capsys, error, code):

@@ -12,7 +12,7 @@ from conftest import (
     naive_consistency,
     tiny_problem,
 )
-from memda.errors import ConfigurationError, GatingError
+from memda.errors import ConfigurationError
 from memda.losses import (
     LSE_SPAN,
     consistency_from_similarity,
@@ -198,7 +198,8 @@ def test_all_positive_source_batch_gives_zero():
     res = sample_consistency_memory(targets, sources, tau=0.07, k=3,
                                     num_classes=3)
     assert res.value == 0.0
-    assert np.all(res.per_anchor == 0.0)
+    _, _, per_anchor, _ = consistency_from_similarity(res.sim, res.positives, 0.07)
+    assert np.all(per_anchor == 0.0)
 
 
 def test_two_entry_instance_is_softplus():
@@ -222,7 +223,8 @@ def test_all_one_class_bank_gives_zero_per_anchor():
     bank = filled_bank(rng.normal(size=(20, 4)), COS, [3] * 20)
     targets = rng.normal(size=(5, 4))
     res = sample_consistency_memory(targets, bank, 0.07, k=5, num_classes=4)
-    assert np.all(res.per_anchor == 0.0)
+    _, _, per_anchor, _ = consistency_from_similarity(res.sim, res.positives, 0.07)
+    assert np.all(per_anchor == 0.0)
     assert res.value == 0.0
 
 
@@ -392,7 +394,7 @@ def test_consistency_is_bounded_by_supcon_minus_log_positives(case):
 def test_gating_violation():
     # the kNN vote needs k entries; it raises for the smaller bank
     bank = filled_bank(np.ones((2, 2)), COS, [0, 1])
-    with pytest.raises(GatingError):
+    with pytest.raises(ConfigurationError, match="smaller than k=5"):
         sample_consistency_memory(np.ones((1, 2)), bank, 0.07, k=5,
                                   num_classes=2)
 
@@ -422,20 +424,18 @@ def test_bank_features_are_constants():
                          ids=lambda k: k.name)
 def test_successive_calls_keep_earlier_value_and_gradient(kind):
     # the bank's score and work buffers are reused by the next call; what a
-    # result owns (value, grad_targets, per_anchor) must not move with them
+    # result owns (value, grad_targets) must not move with them
     rng = np.random.default_rng(31)
     bank = filled_bank(rng.normal(size=(64, 5)), kind,
                        rng.integers(0, 4, size=64))
     first = sample_consistency_memory(rng.normal(size=(6, 5)), bank, 0.2,
                                       k=5, num_classes=4)
     value, grad = first.value, first.grad_targets.copy()
-    per_anchor = first.per_anchor.copy()
     second = sample_consistency_memory(rng.normal(size=(6, 5)), bank, 0.2,
                                        k=5, num_classes=4)
     assert second.value != value
     assert first.value == value
     assert np.array_equal(first.grad_targets, grad)
-    assert np.array_equal(first.per_anchor, per_anchor)
     assert np.shares_memory(first.sim, second.sim)  # the documented alias
 
 

@@ -38,7 +38,7 @@ MODES = {"consistency": ["batch", "off"], "similarity": ["euclidean", "gaussian"
 JSON_VALUES = [None, True, 1, 2.5, -1, "x", [1, 2], {"a": 1}]
 
 COMMANDS = ("gen-data", "train", "train-from-manifest", "eval", "ablate")
-EXIT_CODES = {0, 2, 3, 4, 5}
+EXIT_CODES = {0, 2, 3, 4}
 ARTIFACTS = {
     "gen-data": ("d_source.csv", "d_target.csv"),
     "train": ("manifest.json", "metrics.csv", "summary.json", "model.npz"),
