@@ -241,11 +241,17 @@ def write_manifest(outdir: Path, config: TrainConfig) -> None:
         fh.write("\n")
 
 
+def _measured(value: float):
+    """``value``, or None (JSON null) for one that cannot be measured (NaN)."""
+    return None if math.isnan(value) else value
+
+
 def accuracy_dict(report: metrics.EvalReport) -> dict:
+    per_class = report.per_class_accuracy
     return {
-        "overall_accuracy": report.overall_accuracy,
-        "macro_accuracy": metrics.macro_accuracy(report.per_class_accuracy),
-        "per_class_accuracy": [float(v) for v in report.per_class_accuracy],
+        "overall_accuracy": _measured(report.overall_accuracy),
+        "macro_accuracy": _measured(metrics.macro_accuracy(per_class)),
+        "per_class_accuracy": [_measured(float(v)) for v in per_class],
     }
 
 
@@ -253,7 +259,7 @@ def summary_dict(result: RunResult) -> dict:
     last = result.history[-1]
     return {
         **accuracy_dict(result.evaluation),
-        "pseudo_label_accuracy": last.pl_acc,
+        "pseudo_label_accuracy": _measured(last.pl_acc),
         "mean_similarity": last.mean_sim_avg,
         "iterations": len(result.history),
     }
@@ -283,7 +289,8 @@ def run_from_settings(config: TrainConfig, outdir: Path) -> RunResult:
     result = run_training(config, source, target)
     write_metrics_csv(outdir / "metrics.csv", result.history)
     with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary_dict(result), fh, indent=2, sort_keys=True)
+        json.dump(summary_dict(result), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
     save_model(outdir / "model.npz", result.model, config)
     return result
@@ -323,17 +330,17 @@ def cmd_ablate(args) -> int:
     # every grid point is resolved and checked before any run
     grid = [(raw, [resolve_settings(None, {**flags, args.axis: raw, "seed": s},
                                     base) for s in seeds]) for raw in values]
+    # each distinct data setting is read or generated once, before any write
+    data = {_data_setting(c): c for _, runs in grid for c in runs}
+    data = {key: resolve_datasets(config) for key, config in data.items()}
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    rows, data = [], {}  # each distinct data setting is read or generated once
+    rows = []
     for raw, runs in grid:
         accs = []
         for config in runs:
-            key = _data_setting(config)
-            if key not in data:
-                data[key] = resolve_datasets(config)
-            result = run_training(config, *data[key])
+            result = run_training(config, *data[_data_setting(config)])
             accs.append(result.evaluation.overall_accuracy)
             rows.append((raw, str(config.seed), accs[-1]))
         rows.append((raw, "median", float(np.median(accs))))
@@ -359,7 +366,8 @@ def cmd_eval(args) -> int:
     report = evaluate(model, target)
     if math.isnan(report.overall_accuracy):
         raise DataFormatError("target table has no evaluation labels")
-    print(json.dumps(accuracy_dict(report), indent=2, sort_keys=True))
+    print(json.dumps(accuracy_dict(report), indent=2, sort_keys=True,
+                     allow_nan=False))
     return 0
 
 

@@ -380,6 +380,40 @@ def test_train_on_feature_tables(tmp_path):
             == (generated / "metrics.csv").read_bytes())
 
 
+def strict_json(text):
+    """``text`` parsed as JSON proper: ``NaN`` and ``Infinity`` are refused."""
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_unmeasurable_accuracies_are_written_as_null(tmp_path, capsys):
+    assert main(["gen-data", "--out", str(tmp_path / "d")] + tiny_flags()) == 0
+    comment, header, *rows = (tmp_path / "d_target.csv").read_text().splitlines()
+    tables = {  # five classes in the header; no row labeled, or none of class 4
+        "unlabeled": ["-1," + r.split(",", 1)[1] for r in rows],
+        "no4": [r for r in rows if not r.startswith("4,")],
+    }
+    for name, body in tables.items():
+        (tmp_path / f"{name}.csv").write_text("\n".join([comment, header, *body]) + "\n")
+        assert main(["train", "--outdir", str(tmp_path / name),
+                     "--source-table", str(tmp_path / "d_source.csv"),
+                     "--target-table", str(tmp_path / f"{name}.csv")]
+                    + tiny_flags()) == 0
+    unlabeled = strict_json((tmp_path / "unlabeled" / "summary.json").read_text())
+    assert unlabeled["overall_accuracy"] is None
+    assert unlabeled["macro_accuracy"] is None
+    assert unlabeled["per_class_accuracy"] == [None] * 5
+    no4 = strict_json((tmp_path / "no4" / "summary.json").read_text())
+    capsys.readouterr()
+    assert main(["eval", "--model", str(tmp_path / "no4" / "model.npz")]) == 0
+    for report in (no4, strict_json(capsys.readouterr().out)):
+        assert report["per_class_accuracy"][4] is None
+        assert all(isinstance(a, float) for a in report["per_class_accuracy"][:4])
+        assert isinstance(report["macro_accuracy"], float)
+
+
 @pytest.mark.parametrize("target_flags,named", [
     (["--classes", "4"], "class counts differ"),
     (["--input-dim", "6"], "feature widths differ"),
@@ -502,6 +536,25 @@ def test_ablate_row_count_and_medians(tmp_path):
     assert lines[0] == "axis,value,seed,target_accuracy"
     assert len(lines) == 1 + 2 * 3 + 2  # config x seed rows plus one median per value
     assert sum(1 for l in lines if ",median," in l) == 2
+
+
+@pytest.mark.parametrize("missing", [("target",), ("source", "target")],
+                         ids=["one", "both"])
+def test_ablate_writes_nothing_when_its_data_is_refused(tmp_path, capsys,
+                                                        missing):
+    assert main(["gen-data", "--out", str(tmp_path / "d")] + tiny_flags()) == 0
+    tables = []
+    for side in ("source", "target"):
+        path = tmp_path / (f"missing_{side}.csv" if side in missing
+                           else f"d_{side}.csv")
+        tables += [f"--{side}-table", str(path)]
+    capsys.readouterr()
+    outdir = tmp_path / "ab"
+    rc = main(["ablate", "--outdir", str(outdir), "--axis", "tau",
+               "--values", "0.1", "--seeds", "0"] + tables + tiny_flags())
+    assert rc == 2
+    assert f"missing_{missing[0]}.csv" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_ablate_unknown_axis(tmp_path):

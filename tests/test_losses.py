@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,8 +23,9 @@ from memda.losses import (
     sample_consistency_memory,
     supervised_loss,
 )
-from memda.nn import PROB_EPS
-from memda.similarity import COSINE, GAUSSIAN, SimilarityKind
+from memda.nn import PROB_EPS, encoder_forward
+from memda.similarity import COSINE, EUCLIDEAN, GAUSSIAN, SimilarityKind
+from memda.trainer import forward_backward
 
 COS = SimilarityKind(COSINE)
 
@@ -452,6 +454,15 @@ def test_temperature_monotone_on_two_entry_instance():
 # analytic gradients through the networks
 
 
+# every mode the trainer runs over a memory bank: kernel x conditioning x
+# pseudo-label source; the Gaussian kernel runs at sigma 2
+KERNELS = (COSINE, EUCLIDEAN, GAUSSIAN)
+MEMORY_MODES = [{"similarity": kernel, "multilinear": multilinear,
+                 "pseudo_labels": labels}
+                for kernel in KERNELS for multilinear in (True, False)
+                for labels in ("knn", "classifier")]
+
+
 @pytest.mark.parametrize("component,side", [
     ("sup", "theta"),
     ("adv", "theta"),
@@ -459,29 +470,38 @@ def test_temperature_monotone_on_two_entry_instance():
     ("sc", "theta"),
 ])
 def test_loss_gradients_pass_fd_check(component, side):
-    for seed in range(5):
-        model, cfg, x_s, y_s, x_t, bank = tiny_problem(seed)
+    for seed, mode in enumerate(MEMORY_MODES):  # one seed per mode
+        model, cfg, x_s, y_s, x_t, bank = tiny_problem(seed, gaussian_sigma=2.0,
+                                                       **mode)
         loss_fn, params = component_closure(model, cfg, x_s, y_s, x_t, bank,
                                             component, side)
-        assert finite_difference_check(loss_fn, params, h_step=1e-6) <= 1e-5
+        assert finite_difference_check(loss_fn, params, h_step=1e-6) <= 1e-5, mode
 
 
 def test_batch_variant_gradients_pass_fd_check():
-    # references detach to the values at the expansion point
-    for seed in range(5):
-        model, cfg, x_s, y_s, x_t, _ = tiny_problem(seed)
-        rng = np.random.default_rng(seed + 100)
-        refs = filled_bank(rng.normal(size=(12, cfg.embed_dim)), COS,
-                           rng.integers(0, 5, size=12))
-        params = [model.encoder.flat_params]  # the layer tensors view it
+    # At the expansion point batch mode is memory mode over a bank holding
+    # that point's source features. The analytic gradient detaches those
+    # references, so central differences run memory mode over that bank,
+    # built once and frozen. The whole objective: l_sup - l_d + lambda_sc l_sc.
+    for kernel in KERNELS:
+        for multilinear in (True, False):
+            model, cfg, x_s, y_s, x_t, _ = tiny_problem(
+                0, consistency="batch", k=3, similarity=kernel,
+                gaussian_sigma=2.0, multilinear=multilinear)
+            nets = (model.encoder, model.classifier)
+            value = forward_backward(model, x_s, y_s, x_t, cfg,
+                                     sc_active=True).total
+            grads = [net.flat_grads.copy() for net in nets]
+            f, _ = encoder_forward(np.concatenate([x_s, x_t]), model.encoder)
+            bank = filled_bank(f[:len(x_s)], cfg.similarity_kind, y_s)
+            held = dataclasses.replace(cfg, consistency="memory")
 
-        def loss_fn():
-            from memda.nn import encoder_forward
+            def loss_fn():
+                out = forward_backward(model, x_s, y_s, x_t, held, bank=bank,
+                                       sc_active=True)
+                return out.total, grads
 
-            model.encoder.zero_grads()
-            f_t, tape = encoder_forward(x_t, model.encoder)
-            res = sample_consistency_memory(f_t, refs, cfg.tau, cfg.k, 5)
-            model.encoder.backward(tape, res.grad_targets)
-            return res.value, [model.encoder.flat_grads.copy()]
-
-        assert finite_difference_check(loss_fn, params, h_step=1e-6) <= 1e-5
+            assert loss_fn()[0] == pytest.approx(value, rel=1e-12)
+            params = [net.flat_params for net in nets]
+            assert finite_difference_check(loss_fn, params, h_step=1e-6) <= 1e-5, \
+                (kernel, multilinear)

@@ -1,4 +1,5 @@
-"""The README's commands run, and its settings table matches the defaults."""
+"""The README's commands run, and its settings and exit-code tables match
+the code."""
 
 import json
 import re
@@ -6,6 +7,7 @@ import shlex
 from pathlib import Path
 
 from memda.cli import ALL_DEFAULTS, main
+from memda.errors import MemdaError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PREFIX = "PYTHONPATH=src python -m memda.cli "
@@ -42,3 +44,14 @@ def test_readme_settings_table_lists_every_key_with_its_default():
     assert dict(rows) == {key: json.dumps(value)
                           for key, value in ALL_DEFAULTS.items()}
     assert len(rows) == len(ALL_DEFAULTS)  # no key listed twice
+
+
+def test_readme_exit_codes_are_success_and_every_package_error():
+    codes = [int(c) for c in re.findall(r"^\| (\d+) \|", section("Exit codes"),
+                                         flags=re.MULTILINE)]
+    errors, pending = set(), [MemdaError]
+    while pending:
+        subclasses = pending.pop().__subclasses__()
+        errors.update(subclasses)
+        pending += subclasses
+    assert sorted(codes) == sorted({0} | {e.exit_code for e in errors})
