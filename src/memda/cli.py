@@ -17,7 +17,7 @@ as ``str``.
 ``discriminator``, each that network's flat parameter vector (every dense
 layer's weights, then its bias, in layer order); ``settings_json``, the
 run's resolved settings; and ``input_dim`` and ``num_classes``, from which
-``load_model`` rebuilds the networks before it copies the vectors in.
+``load_model`` rebuilds the networks around the saved vectors.
 
 Exit codes: 0 success; 2 bad configuration or data file, a file that
 cannot be read or written, or settings too large for the memory;
@@ -188,44 +188,40 @@ def save_model(path, model, config: TrainConfig) -> None:
              num_classes=np.array(model.num_classes))
 
 
-def _read_array(path, data, key, parse=np.asarray):
+def _read_array(data, key, parse=np.asarray):
     """``parse(data[key])``; raises ``DataFormatError`` if either fails."""
     if key not in data:
-        raise DataFormatError(f"{path}: no array {key!r}; retrain")
+        raise DataFormatError(f"no array {key!r}")
     try:
         return parse(data[key])
     except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: bad array {key!r} ({exc}); retrain") from exc
+        raise DataFormatError(f"bad array {key!r} ({exc})") from exc
 
 
 def load_model(path):
-    """(model, config): the saved networks and the validated settings of
-    the run that saved them, read from ``path`` in one pass. A file that is
-    not an npz archive, a missing or malformed array or a vector of the
-    wrong size raises ``DataFormatError``."""
+    """(model, config): the saved networks, wrapped around the archive's
+    vectors, and the validated settings of the run that saved them, read
+    from ``path`` in one pass. A file that is not an npz archive, a missing
+    or malformed array or a vector that is not 1-D float64 of its network's
+    size raises ``DataFormatError``."""
     try:
         data = np.load(path)
     except (ValueError, zipfile.BadZipFile) as exc:  # pickled or text data, bad zip
         raise DataFormatError(f"{path}: not an npz archive; retrain") from exc
     if isinstance(data, np.ndarray):  # a lone .npy array
         raise DataFormatError(f"{path}: a single array, not an npz archive; retrain")
-    with data:
-        if "settings_json" not in data:
-            raise DataFormatError(f"{path}: no saved run settings; retrain")
-        vectors = [_read_array(path, data, name) for name in NETWORKS]
-        input_dim, num_classes = (_read_array(path, data, key, int)
-                                  for key in ("input_dim", "num_classes"))
-        config = resolve_settings(base=_read_array(
-            path, data, "settings_json", lambda a: dict(json.loads(a.item()))))
-        model = build_model(config, input_dim, num_classes, draw=False)
-        for name, saved in zip(NETWORKS, vectors):
-            net = getattr(model, name)
-            if saved.shape != net.flat_params.shape:
-                raise DataFormatError(
-                    f"{path}: array {name!r} holds {saved.size} values, the "
-                    f"network has {net.flat_params.size}; retrain")
-            net.flat_params[...] = saved
-    return model, config
+    try:
+        with data:
+            if "settings_json" not in data:
+                raise DataFormatError("no saved run settings")
+            vectors = [_read_array(data, name) for name in NETWORKS]
+            input_dim, num_classes = (_read_array(data, key, int)
+                                      for key in ("input_dim", "num_classes"))
+            config = resolve_settings(base=_read_array(
+                data, "settings_json", lambda a: dict(json.loads(a.item()))))
+            return build_model(config, input_dim, num_classes, vectors), config
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}; retrain") from exc
 
 
 def write_manifest(outdir: Path, config: TrainConfig) -> None:

@@ -1,20 +1,19 @@
 """Minimal dense networks with hand-derived gradients.
 
-Every network is one ``MLP(sizes, relu, rng)``, built from its layer
-widths: the encoder is tanh, the classifier one affine layer and the
-discriminator ReLU. ``build_model`` builds all three from a run's
-``TrainConfig`` and the data's widths. Everything is float64 and
-deterministic. A forward pass returns the output together with a tape: the
-input, then each layer's output after its activation. The matching backward
-pass consumes that tape, overwrites the parameter gradients in place and
-returns the gradient w.r.t. the input. Batches are row-major 2-D arrays,
-one sample per row.
+Every network is one ``MLP(sizes, relu, flat_params)``: its layer widths,
+around one flat parameter vector. The encoder is tanh, the classifier one
+affine layer and the discriminator ReLU; ``build_model`` builds all three
+from a run's ``TrainConfig`` and the data's widths. Everything is float64
+and deterministic. A forward pass returns the output together with a tape:
+the input, then each layer's output after its activation. The matching
+backward pass consumes that tape, overwrites the parameter gradients in
+place and returns the gradient w.r.t. the input. Batches are row-major 2-D
+arrays, one sample per row.
 
-Each network keeps its parameters in one flat vector and its gradients in
-another, allocated once: every layer's weights and biases are views into
-them from construction on, so zeroing, SGD and the slow-encoder update are
-a few whole-vector operations, and a saved model holds one flat parameter
-vector per network.
+Every layer's weights and biases are views into the network's parameter
+vector, and its gradients into a gradient vector, so zeroing, SGD and the
+slow-encoder update are a few whole-vector operations, and a saved model
+holds one flat vector per network, which loading wraps without a copy.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, DataFormatError, NumericalError
 
 PROB_EPS = 1e-7  # probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before any log
 
@@ -40,26 +39,26 @@ class MLP:
     """A dense stack of ``len(sizes) - 1`` affine layers y = x @ W.T + b, with
     tanh (or ReLU if ``relu``) after every layer but the last.
 
-    ``flat_params`` and ``flat_grads`` are allocated once: each entry of
-    ``layers`` is a (w, b, gw, gb) tuple of views into them, laid out layer
-    by layer, weights before bias. Weights are drawn from ``rng`` as
-    N(0, 1/n_in), layer by layer, and biases start at zero; with no ``rng``
-    every parameter starts at zero.
+    The network wraps ``flat_params`` as given, or zeros, and allocates
+    ``flat_grads``: each entry of ``layers`` is a (w, b, gw, gb) tuple of
+    views into the two, layer by layer, weights before bias. A vector that
+    is not 1-D float64 of the network's size raises ``ValueError``.
     """
 
-    def __init__(self, sizes, relu: bool, rng: np.random.Generator | None = None):
-        self.sizes = tuple(int(n) for n in sizes)
-        self.relu = relu
+    def __init__(self, sizes, relu: bool, flat_params: np.ndarray | None = None):
+        self.sizes, self.relu = tuple(int(n) for n in sizes), relu
         widths = list(zip(self.sizes, self.sizes[1:]))
-        self.flat_params = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in widths))
-        self.flat_grads = np.zeros_like(self.flat_params)
+        size = sum((n_in + 1) * n_out for n_in, n_out in widths)
+        p = np.zeros(size) if flat_params is None else flat_params
+        if p.shape != (size,) or p.dtype != np.float64:
+            raise ValueError(f"holds {p.size} values, the network has {size} "
+                             f"(a {p.ndim}-D {p.dtype} array, not 1-D float64)")
+        self.flat_params, self.flat_grads = p, np.zeros(size)
         self.layers, offset = [], 0
         for n_in, n_out in widths:
             cut, end = offset + n_out * n_in, offset + (n_in + 1) * n_out
             w, gw = (v[offset:cut].reshape(n_out, n_in)
                      for v in (self.flat_params, self.flat_grads))
-            if rng is not None:
-                w[...] = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=w.shape)
             self.layers.append((w, self.flat_params[cut:end], gw,
                                 self.flat_grads[cut:end]))
             offset = end
@@ -103,9 +102,7 @@ class MLP:
         self.flat_grads.fill(0.0)
 
     def clone(self) -> "MLP":
-        twin = MLP(self.sizes, self.relu)
-        twin.flat_params[...] = self.flat_params
-        return twin
+        return MLP(self.sizes, self.relu, self.flat_params.copy())
 
 
 @dataclass
@@ -139,25 +136,32 @@ class ModelBundle:
         return self._conditioned[:size].reshape(n, -1)
 
 
-def build_model(config, input_dim: int, num_classes: int,
-                draw: bool = True) -> ModelBundle:
-    """The untrained encoder/classifier/discriminator stack for data of
-    these widths, with the sizes, ``multilinear`` and ``seed`` of
-    ``config`` (a ``trainer.TrainConfig``); with ``draw`` False every
-    parameter starts at zero, for a caller that copies saved ones in. The
-    sizes are ``TrainConfig.validate``'s to check; the data's widths are
-    checked here."""
+def build_model(config, input_dim: int, num_classes: int, vectors=None) -> ModelBundle:
+    """The encoder/classifier/discriminator stack for data of these widths,
+    with the sizes, ``multilinear`` and ``seed`` of ``config`` (a
+    ``trainer.TrainConfig``), wrapped around ``vectors``, one per network in
+    that order (one that does not fit raises ``DataFormatError`` naming it),
+    or drawn from ``default_rng(config.seed)``: N(0, 1/n_in) weights network
+    by network, layer by layer, and zero biases."""
     if min(input_dim, num_classes) < 1:
         raise ConfigurationError("model dimensions must be positive")
-    rng = np.random.default_rng(config.seed) if draw else None
     embed_dim, hidden = config.embed_dim, config.disc_hidden
-    encoder = MLP([input_dim] + [config.encoder_hidden] * config.encoder_layers
-                  + [embed_dim], relu=False, rng=rng)  # hidden tanh, linear projection
-    classifier = MLP([embed_dim, num_classes], relu=False, rng=rng)
     disc_in = embed_dim * num_classes if config.multilinear else embed_dim
-    discriminator = MLP([disc_in, hidden, hidden, 1], relu=True, rng=rng)
-    return ModelBundle(encoder, classifier, discriminator,
-                       multilinear=config.multilinear)
+    layouts = (("encoder", [input_dim] + [config.encoder_hidden] * config.encoder_layers
+                + [embed_dim], False),  # hidden tanh, linear projection
+               ("classifier", [embed_dim, num_classes], False),
+               ("discriminator", [disc_in, hidden, hidden, 1], True))
+    nets = []
+    for (name, sizes, relu), vector in zip(layouts, vectors or [None] * 3):
+        try:
+            nets.append(MLP(sizes, relu, vector))
+        except ValueError as exc:
+            raise DataFormatError(f"array {name!r} {exc}") from None
+    if vectors is None:
+        rng = np.random.default_rng(config.seed)
+        for w, _, _, _ in (layer for net in nets for layer in net.layers):
+            w[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[1]), size=w.shape)
+    return ModelBundle(*nets, multilinear=config.multilinear)
 
 
 # ---------------------------------------------------------------------------

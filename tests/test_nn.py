@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference_check
-from memda.errors import ConfigurationError, NumericalError
+from memda.errors import ConfigurationError, DataFormatError, NumericalError
 from memda.nn import (
     PROB_EPS,
     MLP,
@@ -88,6 +88,41 @@ def test_clone_shares_no_memory_with_the_original():
     assert all(np.shares_memory(w, copy.flat_params)
                and np.shares_memory(b, copy.flat_params)
                for w, b, _, _ in copy.layers)
+
+
+def test_a_network_wraps_the_vector_it_is_given():
+    flat = np.arange(9.0)
+    net = MLP([2, 3], relu=False, flat_params=flat)
+    assert net.flat_params is flat  # no copy
+    w, b, _, _ = net.layers[0]
+    assert np.array_equal(w, [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    assert np.array_equal(b, [6.0, 7.0, 8.0])
+    flat[0] = 10.0
+    assert w[0, 0] == 10.0
+
+
+@pytest.mark.parametrize("flat", [
+    np.zeros(8), np.zeros((9, 1)), np.zeros(9, dtype=np.float32),
+    np.zeros(9, dtype=complex),
+], ids=["short", "2-d", "float32", "complex"])
+def test_a_network_refuses_a_vector_that_does_not_fit(flat):
+    with pytest.raises(ValueError, match=f"holds {flat.size} values, the network has 9"):
+        MLP([2, 3], relu=False, flat_params=flat)
+
+
+def test_build_model_wraps_three_vectors_and_names_one_that_does_not_fit():
+    config = TrainConfig(embed_dim=4, seed=0)
+    drawn = build_model(config, 5, 3)
+    vectors = [net.flat_params.copy() for net in
+               (drawn.encoder, drawn.classifier, drawn.discriminator)]
+    model = build_model(config, 5, 3, vectors)
+    for net, flat in zip((model.encoder, model.classifier, model.discriminator),
+                         vectors):
+        assert net.flat_params is flat
+    vectors[1] = vectors[1][:-1]
+    with pytest.raises(DataFormatError, match="^array 'classifier' holds 14 values, "
+                                              "the network has 15"):
+        build_model(config, 5, 3, vectors)
 
 
 def test_backward_into_its_own_input_matches_a_fresh_result():
