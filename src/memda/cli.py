@@ -157,13 +157,17 @@ def _data_setting(config: TrainConfig) -> tuple:
 
 
 def _generate_datasets(config: TrainConfig):
-    """The synthetic (source, target) pair the data settings describe."""
+    """The synthetic (source, target) pair the data settings describe, if finite."""
     dseed = _data_seed(config)
-    source = gen_gaussian_mixture(*config.mixture, seed=dseed)
-    base = gen_gaussian_mixture(*config.mixture, seed=dseed + 1)
-    shift = ShiftSpec.from_degrees(config.rotation_deg, noise=config.shift_noise,
-                                   seed=dseed + 2)
-    return source, apply_domain_shift(base, shift)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        source = gen_gaussian_mixture(*config.mixture, seed=dseed)
+        base = gen_gaussian_mixture(*config.mixture, seed=dseed + 1)
+        target = apply_domain_shift(base, ShiftSpec.from_degrees(
+            config.rotation_deg, noise=config.shift_noise, seed=dseed + 2))
+    if not all(np.isfinite(d.features).all() for d in (source, target)):
+        raise ConfigurationError("the generated data is not finite: lower "
+                                 "class_spread, within_std or shift_noise")
+    return source, target
 
 
 # ---------------------------------------------------------------------------

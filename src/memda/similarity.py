@@ -38,8 +38,9 @@ class SimilarityKind:
     def __post_init__(self):
         if self.name not in _KINDS:
             raise ConfigurationError(f"unknown similarity kind {self.name!r}")
-        if self.name == GAUSSIAN and not self.sigma > 0:
-            raise ConfigurationError("Gaussian similarity needs sigma > 0")
+        if self.name == GAUSSIAN and not 0.0 < 2.0 * (self.sigma * self.sigma) < np.inf:
+            raise ConfigurationError(f"key 'gaussian_sigma': 2 sigma^2 is not a "
+                                     f"positive finite float at sigma = {self.sigma}")
 
 
 def _check_norms(x: np.ndarray, who: str) -> np.ndarray:

@@ -104,16 +104,15 @@ class TrainConfig:
             raise ConfigurationError("need 0 <= bootstrap_iters < total_iters")
         if self.lambda_adv < 0 or self.lambda_sc < 0:
             raise ConfigurationError("loss coefficients must be >= 0")
-        if not self.tau > 0:
-            raise ConfigurationError("tau must be > 0")
+        if not (self.tau > 0 and np.isfinite(1.0 / self.tau)):
+            raise ConfigurationError(
+                f"key 'tau': {self.tau} is not > 0 with a finite 1/tau")
         if self.k < 1:
             raise ConfigurationError("k must be >= 1")
         if self.bank_capacity < 1:
             raise ConfigurationError("bank_capacity must be >= 1")
         if min(self.lr_encoder, self.lr_heads) <= 0:
             raise ConfigurationError("learning rates must be positive")
-        if self.lr_alpha < 0:
-            raise ConfigurationError("lr_alpha must be >= 0")
         if not 0 <= self.sgd_momentum < 1:
             raise ConfigurationError("sgd_momentum must lie in [0, 1)")
         if self.weight_decay < 0:
@@ -129,7 +128,7 @@ class TrainConfig:
         if self.condition_backprop not in ("feature", "both"):
             raise ConfigurationError(
                 f"unknown condition_backprop mode {self.condition_backprop!r}")
-        for key in ("seed", "min_bank_entries"):
+        for key in ("seed", "min_bank_entries", "lr_alpha", "lr_beta"):  # lr: a decay
             if getattr(self, key) < 0:
                 raise ConfigurationError(f"key {key!r} must be >= 0")
         if (min(self.embed_dim, self.disc_hidden) < 1 or self.encoder_layers < 0

@@ -148,7 +148,9 @@ def test_gen_data_zero_rotation_moments_match(tmp_path):
 @pytest.mark.parametrize("key,value", [
     ("shift_noise", "-1"), ("shift_noise", "nan"),
     ("rotation_deg", "nan"), ("class_spread", "inf"),
-], ids=["-1", "nan", "rotation_deg-nan", "class_spread-inf"])
+    ("within_std", "1e308"), ("shift_noise", "1e308"),  # non-finite data
+], ids=["-1", "nan", "rotation_deg-nan", "class_spread-inf", "within_std-1e308",
+        "shift_noise-1e308"])
 def test_gen_data_rejects_a_bad_shift_noise(tmp_path, capsys, key, value):
     rc = main(["gen-data", "--out", str(tmp_path / "out" / "d"),
                "--" + key.replace("_", "-"), value])
@@ -181,6 +183,21 @@ def test_train_same_seed_byte_identical(tmp_path):
     assert main(["train", "--outdir", str(a)] + tiny_flags(seed=7)) == 0
     assert main(["train", "--outdir", str(b)] + tiny_flags(seed=7)) == 0
     assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+
+
+def test_train_same_settings_write_identical_summary_and_model(tmp_path):
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for outdir in runs:  # with a slow encoder, which is a clone of the encoder
+        flags = tiny_flags(seed=7, mu=0.9)
+        assert main(["train", "--outdir", str(outdir)] + flags) == 0
+    a, b = runs
+    assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+    # npz entries carry timestamps, so the arrays are compared, not the files
+    with np.load(a / "model.npz") as first, np.load(b / "model.npz") as second:
+        assert first.files == second.files
+        for key in first.files:
+            assert first[key].dtype == second[key].dtype
+            assert first[key].tobytes() == second[key].tobytes()
 
 
 def test_train_lambda_sc_zero_zeroes_consistency_columns(tmp_path):
@@ -322,6 +339,11 @@ def test_train_unknown_key_fails_with_exit_2(tmp_path):
     ["--lr-beta", "nan"],
     ["--class-spread", "nan"],
     ["--tau", "inf"],
+    ["--lr-beta", "-1000"],                 # arithmetic that would overflow
+    ["--similarity", "gaussian", "--gaussian-sigma", "1e160"],
+    ["--similarity", "gaussian", "--gaussian-sigma", "1e-170"],
+    ["--tau", "1e-310"],
+    ["--within-std", "1e308"],              # generated data that is not finite
 ])
 def test_train_with_bad_settings_writes_nothing(tmp_path, monkeypatch, flags):
     monkeypatch.chdir(tmp_path)

@@ -106,7 +106,8 @@ def test_a_network_wraps_the_vector_it_is_given():
     np.zeros(9, dtype=complex),
 ], ids=["short", "2-d", "float32", "complex"])
 def test_a_network_refuses_a_vector_that_does_not_fit(flat):
-    with pytest.raises(ValueError, match=f"holds {flat.size} values, the network has 9"):
+    with pytest.raises(ValueError, match=f"holds {flat.size} values, the network "
+                                         f"has 9 \\(a {flat.ndim}-D {flat.dtype} array"):
         MLP([2, 3], relu=False, flat_params=flat)
 
 

@@ -190,6 +190,21 @@ def test_config_validation_rejects_negative_counts(key):
     small_config(**{key: 0}).validate()
 
 
+@pytest.mark.parametrize("key,settings", [
+    ("lr_beta", dict(lr_beta=-1000.0)),  # the schedule would grow, then overflow
+    ("gaussian_sigma", dict(similarity="gaussian", gaussian_sigma=1e160)),
+    ("gaussian_sigma", dict(similarity="gaussian", gaussian_sigma=1e-170)),
+    ("tau", dict(tau=1e-310)),  # 1/tau is inf
+], ids=["lr_beta", "sigma-huge", "sigma-tiny", "tau-tiny"])
+def test_config_validation_rejects_settings_whose_arithmetic_overflows(key, settings):
+    with pytest.raises(ConfigurationError, match=f"^key '{key}'"):
+        small_config(**settings).validate()
+    # the nearest values that still compute
+    small_config(lr_beta=0.0, tau=1e-300, similarity="gaussian",
+                 gaussian_sigma=1e-150).validate()
+    small_config(similarity="gaussian", gaussian_sigma=1e150).validate()
+
+
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)
                 if isinstance(f.default, float)]
 
