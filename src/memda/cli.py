@@ -7,8 +7,8 @@ config file ('#' comments); then one flag per key (--batch-size sets
 batch_size). The result is one ``TrainConfig``, checked by its
 ``validate``, and it is all a subcommand reads. Settings and data are
 checked before anything is written; a run then writes its manifest before
-training starts, then a per-iteration metrics CSV, a summary report and the
-trained model.
+training starts, one metrics CSV row per iteration as it ends (flushed, so
+a failed run keeps them), then a summary report and the trained model.
 ``metrics.csv`` has one column per ``trainer.IterationRecord`` field, in
 field order (``iteration`` is headed ``iter``): floats as ``repr``, ints
 as ``str``.
@@ -174,13 +174,11 @@ def _generate_datasets(config: TrainConfig):
 # artifacts
 
 
-def write_metrics_csv(path, history) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for r in history:
-            values = (getattr(r, name) for name in RECORD_FIELDS)
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                              for v in values) + "\n")
+def metrics_row(record) -> str:
+    """One ``metrics.csv`` line: floats as ``repr``, ints as ``str``."""
+    values = (getattr(record, name) for name in RECORD_FIELDS)
+    return ",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                    for v in values) + "\n"
 
 
 def save_model(path, model, config: TrainConfig) -> None:
@@ -256,12 +254,12 @@ def accuracy_dict(report: metrics.EvalReport) -> dict:
 
 
 def summary_dict(result: RunResult) -> dict:
-    last = result.history[-1]
+    last = result.last
     return {
         **accuracy_dict(result.evaluation),
         "pseudo_label_accuracy": _measured(last.pl_acc),
         "mean_similarity": last.mean_sim_avg,
-        "iterations": len(result.history),
+        "iterations": last.iteration + 1,
     }
 
 
@@ -286,8 +284,11 @@ def run_from_settings(config: TrainConfig, outdir: Path) -> RunResult:
     source, target = resolve_datasets(config)  # bad data writes nothing
     outdir.mkdir(parents=True, exist_ok=True)
     write_manifest(outdir, config)
-    result = run_training(config, source, target)
-    write_metrics_csv(outdir / "metrics.csv", result.history)
+    with open(outdir / "metrics.csv", "w", encoding="utf-8", newline="\n",
+              buffering=1) as fh:  # line-buffered: a failed run keeps its rows
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        result = run_training(config, source, target,
+                              on_record=lambda record: fh.write(metrics_row(record)))
     with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary_dict(result), fh, indent=2, sort_keys=True,
                   allow_nan=False)

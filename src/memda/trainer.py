@@ -42,7 +42,7 @@ CLASSIFIER = "classifier"
 MEMORY = "memory"
 BATCH = "batch"
 OFF = "off"
-PREDICT_CHUNK = 512  # rows per network pass in predict()
+PREDICT_CHUNK = 128  # most rows per network pass in predict(): bounds activations
 
 
 @dataclass
@@ -324,7 +324,6 @@ class TrainerState:
     bank: MemoryBank | None
     opt_encoder: SGD
     opt_heads: SGD
-    last_good: IterationRecord | None = None
 
 
 def init_state(config: TrainConfig, input_dim: int, num_classes: int) -> TrainerState:
@@ -363,8 +362,7 @@ def train_step(state: TrainerState, x_source, y_source, x_target, y_target_eval,
     if not np.isfinite(out.total):
         raise NumericalError(
             f"non-finite loss at iteration {iteration}: "
-            f"sup={out.l_sup} d={out.l_d} sc={out.l_sc}; "
-            f"last good: {state.last_good}"
+            f"sup={out.l_sup} d={out.l_d} sc={out.l_sc}"
         )
 
     # slow encoder comes to life at the end of the bootstrap phase
@@ -407,18 +405,19 @@ def train_step(state: TrainerState, x_source, y_source, x_target, y_target_eval,
         pl_acc=pl_acc,
         skip_count=cons.skipped if cons is not None else 0,
     )
-    state.last_good = record
     return record
 
 
 def predict(model: ModelBundle, features) -> np.ndarray:
-    """Class predictions, PREDICT_CHUNK rows at a time to bound activations."""
+    """Class predictions, in equal parts of at most PREDICT_CHUNK rows (no
+    short tail, which BLAS may round apart from a full-batch pass)."""
     x = as_batch(features)
     preds = np.empty(x.shape[0], dtype=np.int64)
-    for lo in range(0, x.shape[0], PREDICT_CHUNK):
-        f, _ = encoder_forward(x[lo:lo + PREDICT_CHUNK], model.encoder)
+    bounds = np.linspace(0, len(x), -(-len(x) // PREDICT_CHUNK) + 1, dtype=np.int64)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        f, _ = encoder_forward(x[lo:hi], model.encoder)
         probs, _, _ = classifier_forward(f, model.classifier)
-        preds[lo:lo + PREDICT_CHUNK] = np.argmax(probs, axis=1)
+        preds[lo:hi] = np.argmax(probs, axis=1)
     return preds
 
 
@@ -444,7 +443,7 @@ def evaluate(model: ModelBundle, target: DomainDataset) -> metrics.EvalReport:
 @dataclass
 class RunResult:
     model: ModelBundle
-    history: list
+    last: IterationRecord  # the final iteration's record
     evaluation: metrics.EvalReport
 
 
@@ -458,9 +457,9 @@ def check_domain_pair(source: DomainDataset, target: DomainDataset) -> None:
 
 
 def run_training(config: TrainConfig, source: DomainDataset,
-                 target: DomainDataset) -> RunResult:
-    """Train on the given domain pair, then evaluate on the full target set;
-    the loop's state (bank, optimizer velocities) is gone by then."""
+                 target: DomainDataset, on_record=None) -> RunResult:
+    """Train on the given domain pair, then evaluate on the full target set.
+    Each iteration's record goes to ``on_record``; only the last is kept."""
     config.validate()
     check_domain_pair(source, target)
 
@@ -469,7 +468,6 @@ def run_training(config: TrainConfig, source: DomainDataset,
     target_eval = target.eval_labels()
     has_target_labels = bool((target_eval >= 0).any())
 
-    history = []
     # overflow surfaces once, as the NumericalError of an isfinite check
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(config.total_iters):
@@ -484,7 +482,8 @@ def run_training(config: TrainConfig, source: DomainDataset,
                 it,
                 config,
             )
-            history.append(record)
+            if on_record is not None:
+                on_record(record)
     model = state.model
     del state  # predict's activations need not sit on top of bank and velocities
-    return RunResult(model, history, evaluate(model, target))
+    return RunResult(model, record, evaluate(model, target))

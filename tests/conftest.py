@@ -17,7 +17,20 @@ from memda.nn import (
     gradient_reversal,
     softmax_vjp,
 )
-from memda.trainer import BATCH, CLASSIFIER, TrainConfig, forward_backward
+from memda.trainer import (
+    BATCH,
+    CLASSIFIER,
+    TrainConfig,
+    forward_backward,
+    run_training,
+)
+
+
+def run_recorded(config, source, target):
+    """``run_training``'s result and every iteration's record, in order."""
+    records = []
+    result = run_training(config, source, target, on_record=records.append)
+    return result, records
 
 
 def naive_consistency(sim, pos_mask, tau):

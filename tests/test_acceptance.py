@@ -19,6 +19,7 @@ from conftest import (
     filled_bank,
     finite_difference_check,
     naive_consistency,
+    run_recorded,
     tiny_problem,
 )
 from memda.bank import MemoryBank, momentum_update
@@ -27,7 +28,7 @@ from memda.datasets import ShiftSpec, apply_domain_shift, gen_gaussian_mixture
 from memda.losses import consistency_from_similarity, sample_consistency_memory
 from memda.nn import build_model
 from memda.similarity import COSINE, EUCLIDEAN, SimilarityKind, assign_pseudo_labels
-from memda.trainer import TrainConfig, run_training
+from memda.trainer import TrainConfig
 
 COS = SimilarityKind(COSINE)
 EUC = SimilarityKind(EUCLIDEAN)
@@ -64,7 +65,8 @@ def benchmark_domains(seed):
 
 @pytest.fixture(scope="session")
 def benchmark_runs():
-    """full / adversarial-only / source-only / batch-sized-bank runs, 5 seeds."""
+    """full / adversarial-only / source-only / batch-sized-bank runs, 5 seeds;
+    each run is its (result, every iteration's record) pair."""
     runs = {}
     t0 = time.perf_counter()
     for seed in SEEDS:
@@ -79,7 +81,7 @@ def benchmark_runs():
             "bank32": TrainConfig(seed=seed, **{**RECIPE, "bank_capacity": 32}),
         }
         runs[seed] = {
-            name: run_training(cfg, source, target)
+            name: run_recorded(cfg, source, target)
             for name, cfg in variants.items()
         }
     runs["elapsed"] = time.perf_counter() - t0
@@ -88,7 +90,7 @@ def benchmark_runs():
 
 def median_acc(runs, name):
     return float(np.median(
-        [runs[s][name].evaluation.overall_accuracy for s in SEEDS]))
+        [runs[s][name][0].evaluation.overall_accuracy for s in SEEDS]))
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +234,17 @@ def test_criterion_7_memory_size_trend(benchmark_runs):
 def test_criterion_8_similarity_score_trend(benchmark_runs):
     rising = beats = 0
     for seed in SEEDS:
-        full = benchmark_runs[seed]["full"]
-        adv = benchmark_runs[seed]["adv"]
-        active = [r for r in full.history if r.mean_sim_avg != 0.0]
+        _, full = benchmark_runs[seed]["full"]
+        _, adv = benchmark_runs[seed]["adv"]
+        active = [r for r in full if r.mean_sim_avg != 0.0]
         window = max(1, len(active) // 10)
         first = np.mean([r.mean_sim_avg for r in active[:window]])
         last = np.mean([r.mean_sim_avg for r in active[-window:]])
         rising += last > first
         adv_scores = {r.iteration: r.mean_sim_avg
-                      for r in adv.history if r.mean_sim_avg != 0.0}
+                      for r in adv if r.mean_sim_avg != 0.0}
         matched = [r.iteration for r in active if r.iteration in adv_scores]
-        full_mean = np.mean([full.history[i].mean_sim_avg for i in matched])
+        full_mean = np.mean([full[i].mean_sim_avg for i in matched])
         adv_mean = np.mean([adv_scores[i] for i in matched])
         beats += full_mean > adv_mean
     ok = rising >= 4 and beats >= 4
@@ -271,14 +273,14 @@ def test_criterion_10_ablation_identity():
     source, target = benchmark_domains(3)
     shared = dict(total_iters=300, bootstrap_iters=60, seed=3,
                   lambda_sc=0.0, diagnostics="off")
-    gated = run_training(
+    _, gated = run_recorded(
         TrainConfig(consistency="memory", **shared), source, target)
-    absent = run_training(
+    _, absent = run_recorded(
         TrainConfig(consistency="off", **shared), source, target)
     worst = 0.0
-    for ra, rb in zip(gated.history, absent.history):
+    for ra, rb in zip(gated, absent):
         worst = max(worst, abs(ra.l_sup - rb.l_sup), abs(ra.l_d - rb.l_d),
                     abs(ra.l_sc - rb.l_sc), abs(ra.total - rb.total))
-    ok = worst <= 1e-12 and len(gated.history) == len(absent.history)
+    ok = worst <= 1e-12 and len(gated) == len(absent)
     assert verdict(10, "ablation identity", ok,
                    f"max per-iteration deviation {worst:.2e}"), worst

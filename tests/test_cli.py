@@ -501,7 +501,9 @@ def test_out_of_memory_exits_2_with_one_line_and_keeps_the_manifest(
     assert main(["train", "--outdir", str(outdir)]
                 + tiny_flags(bank_capacity=1_000_000_000)) == 2
     assert capsys.readouterr().err == f"error: out of memory: {message}\n"
-    assert [p.name for p in outdir.iterdir()] == ["manifest.json"]
+    assert sorted(p.name for p in outdir.iterdir()) == ["manifest.json",
+                                                        "metrics.csv"]
+    assert (outdir / "metrics.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
 
 
 def test_numerical_failure_reports_one_line(tmp_path):

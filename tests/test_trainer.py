@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import memda.trainer
+from conftest import run_recorded
 from memda import similarity
 from memda.datasets import ShiftSpec, apply_domain_shift, gen_gaussian_mixture
 from memda.errors import ConfigurationError, NumericalError
@@ -240,17 +241,17 @@ def test_gate_entries_default_is_five_k():
 def test_bootstrap_purity_and_first_fill():
     src, tgt = small_domains()
     cfg = small_config()
-    result = run_training(cfg, src, tgt)
-    for rec in result.history[: cfg.bootstrap_iters]:
+    _, history = run_recorded(cfg, src, tgt)
+    for rec in history[: cfg.bootstrap_iters]:
         assert rec.bank_size == 0
         assert rec.l_sc == 0.0
         assert rec.mean_sim_avg == 0.0
-    first_after = result.history[cfg.bootstrap_iters]
+    first_after = history[cfg.bootstrap_iters]
     assert first_after.bank_size == cfg.batch_size
     # the gate (5k entries) opens only once the bank is filled enough
     gate_iter = cfg.bootstrap_iters + int(np.ceil(cfg.gate_entries / cfg.batch_size))
-    assert all(r.l_sc == 0.0 for r in result.history[: gate_iter - 1])
-    assert any(r.l_sc > 0.0 for r in result.history[gate_iter:])
+    assert all(r.l_sc == 0.0 for r in history[: gate_iter - 1])
+    assert any(r.l_sc > 0.0 for r in history[gate_iter:])
 
 
 def test_one_update_per_network_per_iteration(monkeypatch):
@@ -304,22 +305,38 @@ def test_loop_state_is_released_before_evaluation(monkeypatch):
 def test_seed_determinism_end_to_end():
     src, tgt = small_domains()
     cfg = small_config(total_iters=25)
-    a = run_training(cfg, src, tgt)
-    b = run_training(small_config(total_iters=25), src, tgt)
+    a, history_a = run_recorded(cfg, src, tgt)
+    b, history_b = run_recorded(small_config(total_iters=25), src, tgt)
     assert a.evaluation.overall_accuracy == b.evaluation.overall_accuracy
-    for ra, rb in zip(a.history, b.history):
-        assert ra == rb
+    assert [r.iteration for r in history_a] == list(range(25))
+    assert history_a == history_b and a.last == history_a[-1]
     assert np.array_equal(a.model.encoder.flat_params, b.model.encoder.flat_params)
+
+
+def test_training_memory_does_not_grow_with_the_iteration_count():
+    # each record goes to on_record and only the last is kept, so 3000
+    # iterations peak within 64 KiB of 300 (a list of every record grows the
+    # peak by about 1.1 MiB)
+    src, tgt = small_domains()
+    peaks = []
+    for total in (300, 3000):
+        tracemalloc.start()
+        try:
+            run_training(small_config(total_iters=total), src, tgt)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * 2**10, peaks
 
 
 def test_ablation_identity_gated_off_equals_never_built():
     src, tgt = small_domains()
-    gated = run_training(
+    gated, gated_history = run_recorded(
         small_config(lambda_sc=0.0, consistency="memory", diagnostics="off"),
         src, tgt)
-    absent = run_training(small_config(consistency="off"), src, tgt)
-    assert len(gated.history) == len(absent.history)
-    for ra, rb in zip(gated.history, absent.history):
+    absent, absent_history = run_recorded(small_config(consistency="off"), src, tgt)
+    assert len(gated_history) == len(absent_history)
+    for ra, rb in zip(gated_history, absent_history):
         assert abs(ra.l_sup - rb.l_sup) <= 1e-12
         assert abs(ra.l_d - rb.l_d) <= 1e-12
         assert abs(ra.l_sc - rb.l_sc) <= 1e-12
@@ -331,8 +348,8 @@ def test_ablation_identity_gated_off_equals_never_built():
 def test_source_only_baseline_runs():
     src, tgt = small_domains()
     cfg = small_config(lambda_adv=0.0, lambda_sc=0.0, consistency="off")
-    result = run_training(cfg, src, tgt)
-    assert all(r.l_d == 0.0 for r in result.history)
+    result, history = run_recorded(cfg, src, tgt)
+    assert all(r.l_d == 0.0 for r in history)
     assert 0.0 <= result.evaluation.overall_accuracy <= 1.0
 
 
@@ -340,9 +357,9 @@ def test_batch_variant_runs_without_bank():
     src, tgt = small_domains()
     cfg = small_config(consistency="batch", k=3)
     assert init_state(cfg, src.dim, src.num_classes).bank is None
-    result = run_training(cfg, src, tgt)
-    assert all(r.bank_size == 0 for r in result.history)
-    assert any(r.l_sc > 0.0 for r in result.history[cfg.bootstrap_iters:])
+    _, history = run_recorded(cfg, src, tgt)
+    assert all(r.bank_size == 0 for r in history)
+    assert any(r.l_sc > 0.0 for r in history[cfg.bootstrap_iters:])
 
 
 def test_no_bank_is_built_for_a_branch_that_never_runs():
@@ -354,8 +371,8 @@ def test_no_bank_is_built_for_a_branch_that_never_runs():
 def test_classifier_pseudo_label_mode_runs():
     src, tgt = small_domains()
     cfg = small_config(pseudo_labels="classifier")
-    result = run_training(cfg, src, tgt)
-    assert any(r.l_sc > 0.0 for r in result.history)
+    _, history = run_recorded(cfg, src, tgt)
+    assert any(r.l_sc > 0.0 for r in history)
 
 
 def test_momentum_encoder_lifecycle():
@@ -467,13 +484,13 @@ def test_lambda_sc_zero_with_diagnostics_tracks_scores(monkeypatch):
     monkeypatch.setattr(similarity, "pairwise_similarity_vjp", counting_vjp)
     src, tgt = small_domains()
     cfg = small_config(lambda_sc=0.0, diagnostics="on")
-    result = run_training(cfg, src, tgt)
-    post = [r for r in result.history if r.bank_size >= cfg.gate_entries]
+    _, history = run_recorded(cfg, src, tgt)
+    post = [r for r in history if r.bank_size >= cfg.gate_entries]
     assert any(r.mean_sim_avg != 0.0 for r in post)
     # a diagnostics-only step runs the consistency forward, never its backward
     assert vjp_calls == []
     # but the objective never sees the consistency term
-    for r in result.history:
+    for r in history:
         assert r.total == pytest.approx(r.l_sup - cfg.lambda_adv * r.l_d, abs=1e-12)
 
 
@@ -551,9 +568,10 @@ def test_chunked_predict_equals_full_batch_pass():
     model = build_model(TrainConfig(embed_dim=32, seed=0), 16, 50)
     f, _ = encoder_forward(target.features, model.encoder)
     _, logits, _ = classifier_forward(f, model.classifier)
-    chunks = []
-    for lo in range(0, len(target), PREDICT_CHUNK):
-        fc, _ = encoder_forward(target.features[lo:lo + PREDICT_CHUNK], model.encoder)
+    chunks = []  # predict's equal parts of at most PREDICT_CHUNK rows
+    for part in np.array_split(target.features, -(-len(target) // PREDICT_CHUNK)):
+        assert PREDICT_CHUNK // 2 < len(part) <= PREDICT_CHUNK
+        fc, _ = encoder_forward(part, model.encoder)
         chunks.append(classifier_forward(fc, model.classifier)[1])
     assert np.array_equal(np.vstack(chunks), logits)
     assert np.array_equal(predict(model, target.features), np.argmax(logits, axis=1))
