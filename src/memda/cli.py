@@ -32,6 +32,7 @@ import argparse
 import dataclasses
 import json
 import math
+import platform
 import sys
 import time
 import zipfile
@@ -226,11 +227,22 @@ def load_model(path):
         raise DataFormatError(f"{path}: {exc}; retrain") from exc
 
 
+def environment() -> dict:
+    """The python, numpy and BLAS build that a run uses."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 has no dict mode
+        blas = {}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {key: blas.get(key) for key in ("name", "version")}}
+
+
 def write_manifest(outdir: Path, config: TrainConfig) -> None:
     manifest = {
         "tool": "memda",
         "version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "environment": environment(),
         "settings": dataclasses.asdict(config),
         "outdir": str(outdir),
     }
@@ -337,21 +349,18 @@ def cmd_ablate(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    for raw, runs in grid:
-        accs = []
-        for config in runs:
-            result = run_training(config, *data[_data_setting(config)])
-            accs.append(result.evaluation.overall_accuracy)
-            rows.append((raw, str(config.seed), accs[-1]))
-        rows.append((raw, "median", float(np.median(accs))))
-
     table = outdir / "results.csv"
-    with open(table, "w", encoding="utf-8", newline="\n") as fh:
+    with open(table, "w", encoding="utf-8", newline="\n",
+              buffering=1) as fh:  # line-buffered: a failed grid keeps its rows
         fh.write("axis,value,seed,target_accuracy\n")
-        for value, seed, acc in rows:
-            fh.write(f"{args.axis},{value},{seed},{acc!r}\n")
-    print(f"wrote {table} ({len(rows)} rows)")
+        for raw, runs in grid:
+            accs = []
+            for config in runs:
+                result = run_training(config, *data[_data_setting(config)])
+                accs.append(result.evaluation.overall_accuracy)
+                fh.write(f"{args.axis},{raw},{config.seed},{accs[-1]!r}\n")
+            fh.write(f"{args.axis},{raw},median,{float(np.median(accs))!r}\n")
+    print(f"wrote {table} ({len(values) * (len(seeds) + 1)} rows)")
     return 0
 
 

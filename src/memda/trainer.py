@@ -360,10 +360,12 @@ def train_step(state: TrainerState, x_source, y_source, x_target, y_target_eval,
                            bank=bank, sc_active=sc_active,
                            lambda_adv=adv_coefficient(iteration, config))
     if not np.isfinite(out.total):
+        sc_alone = np.isfinite(out.l_sup + out.l_d) and not np.isfinite(out.l_sc)
         raise NumericalError(
             f"non-finite loss at iteration {iteration}: "
-            f"sup={out.l_sup} d={out.l_d} sc={out.l_sc}"
-        )
+            f"sup={out.l_sup} d={out.l_d} sc={out.l_sc}" + (
+                f"; l_sc scales as the {config.similarity} score over "
+                f"tau={config.tau}: raise key 'tau'" if sc_alone else ""))
 
     # slow encoder comes to life at the end of the bootstrap phase
     if config.mu > 0 and model.momentum is None and not bootstrap:

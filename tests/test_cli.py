@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -176,6 +177,18 @@ def test_train_writes_artifacts_and_exits_zero(tmp_path):
     summary = json.loads((outdir / "summary.json").read_text())
     assert 0.0 <= summary["overall_accuracy"] <= 1.0
     assert len(summary["per_class_accuracy"]) == 5
+
+
+def test_manifest_records_the_environment(tmp_path):
+    outdir = tmp_path / "run"
+    assert main(["train", "--outdir", str(outdir)] + tiny_flags()) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    env = manifest["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert manifest["settings"]["total_iters"] == 30
 
 
 def test_train_same_seed_byte_identical(tmp_path):
@@ -516,6 +529,25 @@ def test_numerical_failure_reports_one_line(tmp_path):
     assert proc.stderr.startswith("numerical failure: non-finite loss")
 
 
+def test_a_failed_run_keeps_its_rows_and_a_tiny_tau_is_named(tmp_path, capsys):
+    # the Euclidean consistency loss grows as distance / tau: at tau 1e-300
+    # it overflows a few iterations after the bank's gate opens
+    outdir = tmp_path / "r"
+    rc = main(["train", "--outdir", str(outdir), "--similarity", "euclidean",
+               "--tau", "1e-300", "--lambda-sc", "1", "--classes", "5",
+               "--total-iters", "30", "--bootstrap-iters", "5"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "'tau'" in err and "euclidean" in err
+    failed_at = int(re.search(r"at iteration (\d+)", err).group(1))
+    assert failed_at > 5  # after bootstrap, before the end
+    lines = (outdir / "metrics.csv").read_text().splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(failed_at))
+    assert sorted(p.name for p in outdir.iterdir()) == ["manifest.json",
+                                                        "metrics.csv"]
+
+
 def test_metrics_are_byte_identical_across_blas_threads(tmp_path):
     # OpenBLAS reads its thread count when numpy loads: one process per count
     csvs = []
@@ -560,6 +592,27 @@ def test_ablate_row_count_and_medians(tmp_path):
     assert lines[0] == "axis,value,seed,target_accuracy"
     assert len(lines) == 1 + 2 * 3 + 2  # config x seed rows plus one median per value
     assert sum(1 for l in lines if ",median," in l) == 2
+
+
+def test_ablate_keeps_the_rows_of_the_runs_before_a_failure(tmp_path,
+                                                           monkeypatch):
+    train, calls = memda.cli.run_training, []
+
+    def third_run_fails(*args, **kwargs):
+        calls.append(args[0].seed)
+        if len(calls) == 3:
+            raise NumericalError("boom")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(memda.cli, "run_training", third_run_fails)
+    outdir = tmp_path / "sweep"
+    rc = main(["ablate", "--outdir", str(outdir), "--axis", "tau",
+               "--values", "0.1", "--seeds", "0,1,2"] + tiny_flags())
+    assert rc == 3 and calls == [0, 1, 2]
+    lines = (outdir / "results.csv").read_text().splitlines()
+    assert lines[0] == "axis,value,seed,target_accuracy"
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["tau", "0.1", "0"], ["tau", "0.1", "1"]]
 
 
 @pytest.mark.parametrize("missing", [("target",), ("source", "target")],
